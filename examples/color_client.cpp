@@ -1,8 +1,8 @@
 // Command-line client for color_server. One verb per invocation:
 //
-//   color_client submit <graph-spec> [--socket S] [--backend par|sim]
+//   color_client submit <graph-spec> [--socket S] [--backend par|shard]
 //                [--algorithm steal] [--priority random] [--seed 1]
-//                [--threads 0] [--deadline-ms 0] [--wait]
+//                [--deadline-ms 0] [--wait]
 //                [--count N] [--concurrency C]     (mini load generator)
 //   color_client status <id> | result <id> | cancel <id>
 //   color_client stats | ping | shutdown
@@ -27,9 +27,9 @@ constexpr const char* kDefaultSocket = "/tmp/gcg_color.sock";
 int usage() {
   std::cerr
       << "usage: color_client <verb> [args] [--socket PATH]\n"
-         "  submit <graph-spec> [--backend par|sim|shard] [--algorithm NAME]\n"
+         "  submit <graph-spec> [--backend par|shard] [--algorithm NAME]\n"
          "         [--priority random|degree-biased|natural] [--seed N]\n"
-         "         [--threads N] [--order NAME] [--deadline-ms MS]\n"
+         "         [--order NAME] [--deadline-ms MS]\n"
          "         [--keep-colors]\n"
          "         [--shards N] [--shard-rounds N] (backend shard)\n"
          "         [--wait] [--count N] [--concurrency C]\n"
@@ -43,13 +43,10 @@ gcg::svc::JobSpec spec_from_cli(const gcg::Cli& cli,
   gcg::svc::JobSpec spec;
   spec.graph = graph;
   spec.backend = gcg::svc::backend_from_name(cli.get("backend", "par"));
-  spec.algorithm = cli.get(
-      "algorithm", spec.backend == gcg::svc::Backend::kPar     ? "steal"
-                   : spec.backend == gcg::svc::Backend::kShard ? "jpl"
-                                                               : "hybrid+steal");
+  spec.algorithm =
+      cli.get("algorithm", gcg::svc::default_algorithm(spec.backend));
   spec.priority = cli.get("priority", "random");
-  spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  spec.threads = static_cast<unsigned>(cli.get_int("threads", 0));
+  spec.seed = std::stoull(cli.get("seed", "1"));  // full u64 range
   spec.order = cli.get("order", "");  // par only; service validates the name
   spec.deadline_ms = cli.get_double("deadline-ms", 0.0);
   spec.keep_colors = cli.get_bool("keep-colors");

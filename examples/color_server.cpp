@@ -10,7 +10,7 @@
 //                           [--cache-graphs 16] [--cache-mb 1024]
 //                           [--mapped-cache-gb 256] [--no-mmap]
 //                           [--warmup N] [--hugepages]
-//                           [--no-verify] [--preload g1,g2,...]
+//                           [--preload g1,g2,...]
 //                           [--shard-workers 2] [--shard-threads 0]
 //                           [--shard-rounds 16] [--shards 4]
 //                           [--shard-in-process]
@@ -113,7 +113,6 @@ int main(int argc, char** argv) {
   if (cli.get_bool("hugepages")) {
     opts.scheduler.registry.store.map.huge_pages = true;
   }
-  opts.scheduler.verify = !cli.get_bool("no-verify");
 
   const unsigned shard_workers =
       static_cast<unsigned>(cli.get_int("shard-workers", 2));

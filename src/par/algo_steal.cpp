@@ -29,6 +29,9 @@ namespace gcg::par::detail {
 namespace {
 constexpr std::uint8_t kFlagMax = 1;
 constexpr std::uint8_t kFlagMin = 2;
+/// Frontier items per deque chunk of the stealing flag phase (`grain`
+/// sizes the barriered commit phases).
+constexpr std::uint32_t kChunkSize = 256;
 }  // namespace
 
 void run_steal(DriverState& st) {
@@ -60,7 +63,7 @@ void run_steal(DriverState& st) {
   while (fsize > 0 && !cancel_requested(st)) {
     GCG_ASSERT(st.run.iterations < st.opts.max_iterations);
     const unsigned iter = st.run.iterations++;
-    const auto chunks = make_chunks(fsize, st.opts.chunk_size);
+    const auto chunks = make_chunks(fsize, kChunkSize);
     spool.fill(deal_blocked(chunks, workers));
 
     // Phase A: flag each frontier vertex as a local max/min of the
@@ -71,7 +74,7 @@ void run_steal(DriverState& st) {
       Xoshiro256ss rng(mix64(st.opts.seed ^
                              (std::uint64_t{iter} * workers + w + 1)));
       while (true) {
-        std::optional<Chunk> c = spool.acquire(w, st.opts.victim, rng);
+        std::optional<Chunk> c = spool.acquire(w, rng);
         if (!c) {
           if (spool.drained()) break;
           std::this_thread::yield();  // victims still hold their last chunks

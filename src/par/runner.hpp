@@ -14,7 +14,7 @@
 #include "graph/csr.hpp"
 #include "graph/reorder.hpp"
 #include "metrics/imbalance.hpp"
-#include "sched/steal_queues.hpp"  // VictimPolicy, StealStats
+#include "sched/steal_queues.hpp"  // StealStats
 
 namespace gcg::par {
 
@@ -83,12 +83,6 @@ struct ParOptions {
   /// 1 thread (cooperation needs a team) and by kSteal (its deques
   /// already rebalance). Never changes the jpl coloring.
   std::uint32_t hub_degree_threshold = 0;
-
-  // kSteal only: frontier items per deque chunk and victim selection.
-  // (chunk_size sizes the *deque* chunks of the stealing flag phase;
-  // `grain` above sizes the barriered commit phases.)
-  std::uint32_t chunk_size = 256;
-  VictimPolicy victim = VictimPolicy::kRandom;
 
   /// Cooperative cancellation: polled by worker 0 between iterations
   /// (never mid-phase, so the color array stays phase-consistent). When it

@@ -1,7 +1,5 @@
 #include "par/steal_pool.hpp"
 
-#include <algorithm>
-
 #include "util/expect.hpp"
 #include "util/narrow.hpp"
 #include "util/stress.hpp"
@@ -14,28 +12,21 @@ StealPool::StealPool(unsigned workers) {
   for (unsigned w = 0; w < workers; ++w) {
     slots_.push_back(std::make_unique<Slot>());
   }
+  set_worker_nodes({});
 }
 
 void StealPool::set_worker_nodes(const std::vector<unsigned>& nodes) {
-  node_aware_ = false;
-  local_victims_.clear();
-  remote_victims_.clear();
   const unsigned n = workers();
-  if (nodes.size() != n || n < 2) return;
-  bool multi = false;
-  for (unsigned w = 1; w < n; ++w) multi |= nodes[w] != nodes[0];
-  if (!multi) return;  // single node: keep the flat victim space
-  local_victims_.resize(n);
-  remote_victims_.resize(n);
+  const bool known = nodes.size() == n;  // otherwise: one node
+  local_victims_.assign(n, {});
+  remote_victims_.assign(n, {});
   for (unsigned thief = 0; thief < n; ++thief) {
     for (unsigned step = 1; step < n; ++step) {
       const unsigned victim = (thief + step) % n;
-      (nodes[victim] == nodes[thief] ? local_victims_
-                                     : remote_victims_)[thief]
-          .push_back(victim);
+      const bool local = !known || nodes[victim] == nodes[thief];
+      (local ? local_victims_ : remote_victims_)[thief].push_back(victim);
     }
   }
-  node_aware_ = true;
 }
 
 void StealPool::fill(const std::vector<std::vector<Chunk>>& per_worker) {
@@ -82,7 +73,6 @@ std::optional<Chunk> StealPool::pop_own(unsigned worker) {
 }
 
 std::optional<Chunk> StealPool::try_victim(unsigned thief, unsigned victim) {
-  if (victim == thief) return std::nullopt;
   std::optional<Chunk> c = slots_[victim]->deque.steal();
   if (c) {
     auto& stats = slots_[thief]->stats;
@@ -95,96 +85,28 @@ std::optional<Chunk> StealPool::try_victim(unsigned thief, unsigned victim) {
 }
 
 std::optional<Chunk> StealPool::steal_from(
-    unsigned thief, VictimPolicy policy, Xoshiro256ss& rng,
-    const std::vector<unsigned>& victims) {
+    unsigned thief, Xoshiro256ss& rng, const std::vector<unsigned>& victims) {
+  // A few uniform probes, like the simulated queues' bounded retry.
   const auto n = narrow<unsigned>(victims.size());
-  if (n == 0) return std::nullopt;
-  switch (policy) {
-    case VictimPolicy::kRandom: {
-      for (unsigned tries = 0; tries < n; ++tries) {
-        const unsigned victim = victims[narrow<unsigned>(rng.bounded(n))];
-        if (auto c = try_victim(thief, victim)) return c;
-      }
-      return std::nullopt;
-    }
-    case VictimPolicy::kRichest: {
-      unsigned best = thief;
-      std::int64_t best_size = 0;
-      for (unsigned victim : victims) {
-        const std::int64_t s = slots_[victim]->deque.size_estimate();
-        if (s > best_size) {
-          best = victim;
-          best_size = s;
-        }
-      }
-      if (best == thief) return std::nullopt;
-      return try_victim(thief, best);
-    }
-    case VictimPolicy::kRing: {
-      // victims are already in ring order from the thief.
-      for (unsigned victim : victims) {
-        if (slots_[victim]->deque.size_estimate() == 0) continue;
-        if (auto c = try_victim(thief, victim)) return c;
-      }
-      return std::nullopt;
-    }
+  for (unsigned tries = 0; tries < n; ++tries) {
+    const unsigned victim = victims[narrow<unsigned>(rng.bounded(n))];
+    if (auto c = try_victim(thief, victim)) return c;
   }
   return std::nullopt;
 }
 
-std::optional<Chunk> StealPool::steal(unsigned thief, VictimPolicy policy,
-                                      Xoshiro256ss& rng) {
-  const unsigned n = workers();
+std::optional<Chunk> StealPool::steal(unsigned thief, Xoshiro256ss& rng) {
   stress_point(thief);  // schedule-perturbation hook (no-op unless installed)
   ++slots_[thief]->stats.steal_attempts;
-  if (n < 2) return std::nullopt;
-  if (node_aware_) {
-    // Node-local pass first; remote victims only when it comes up empty.
-    if (auto c = steal_from(thief, policy, rng, local_victims_[thief])) {
-      return c;
-    }
-    return steal_from(thief, policy, rng, remote_victims_[thief]);
-  }
-  switch (policy) {
-    case VictimPolicy::kRandom: {
-      // A few uniform probes, like the simulated queues' bounded retry.
-      for (unsigned tries = 0; tries < n; ++tries) {
-        const auto victim = narrow<unsigned>(rng.bounded(n));
-        if (auto c = try_victim(thief, victim)) return c;
-      }
-      return std::nullopt;
-    }
-    case VictimPolicy::kRichest: {
-      unsigned best = thief;
-      std::int64_t best_size = 0;
-      for (unsigned v = 0; v < n; ++v) {
-        if (v == thief) continue;
-        const std::int64_t s = slots_[v]->deque.size_estimate();
-        if (s > best_size) {
-          best = v;
-          best_size = s;
-        }
-      }
-      if (best == thief) return std::nullopt;
-      return try_victim(thief, best);
-    }
-    case VictimPolicy::kRing: {
-      for (unsigned step = 1; step < n; ++step) {
-        const unsigned victim = (thief + step) % n;
-        if (slots_[victim]->deque.size_estimate() == 0) continue;
-        if (auto c = try_victim(thief, victim)) return c;
-      }
-      return std::nullopt;
-    }
-  }
-  return std::nullopt;
+  // Node-local pass first; remote victims only when it comes up empty.
+  if (auto c = steal_from(thief, rng, local_victims_[thief])) return c;
+  return steal_from(thief, rng, remote_victims_[thief]);
 }
 
-std::optional<Chunk> StealPool::acquire(unsigned worker, VictimPolicy policy,
-                                        Xoshiro256ss& rng) {
+std::optional<Chunk> StealPool::acquire(unsigned worker, Xoshiro256ss& rng) {
   if (auto c = pop_own(worker)) return c;
   if (drained()) return std::nullopt;
-  return steal(worker, policy, rng);
+  return steal(worker, rng);
 }
 
 StealStats StealPool::stats() const {

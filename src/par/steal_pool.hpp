@@ -1,6 +1,8 @@
-// Per-worker Chase–Lev deques plus victim selection — the native-thread
-// analogue of the simulated sched::StealQueues, sharing its VictimPolicy
-// and StealStats vocabulary so sim and par runs report comparable numbers.
+// Per-worker Chase–Lev deques plus random-probe victim selection — the
+// native-thread analogue of the simulated sched::StealQueues, sharing its
+// StealStats vocabulary so sim and par runs report comparable numbers.
+// (The simulated queues keep all three victim policies for the paper's
+// ablation; here random probing is the only policy, per that ablation.)
 //
 // Thread safety: entirely lock-free — coordination is sync::atomic
 // top/bottom indices inside the Chase–Lev deques, so there is no mutex
@@ -16,7 +18,7 @@
 
 #include "par/deque.hpp"
 #include "sched/chunk.hpp"
-#include "sched/steal_queues.hpp"  // VictimPolicy, StealStats
+#include "sched/steal_queues.hpp"  // StealStats
 #include "util/narrow.hpp"
 #include "util/rng.hpp"
 #include "util/sync.hpp"
@@ -35,26 +37,25 @@ class StealPool {
   unsigned workers() const { return narrow<unsigned>(slots_.size()); }
 
   /// Installs a NUMA node id per worker (ThreadPool::worker_nodes()).
-  /// With at least two distinct nodes present, every steal runs its
-  /// victim policy over the thief's same-node victims first and falls
+  /// Every steal probes the thief's same-node victims first and falls
   /// back to the remote ones only when the local pass misses — stolen
   /// chunks then mostly touch node-local frontier and color pages.
   /// Victim *order* never affects what kSteal computes (flags are
   /// per-vertex, commits are schedule-independent), only steal latency.
-  /// With fewer than two nodes (or never called) behavior is unchanged.
+  /// Until called (or given a list of the wrong size) every worker counts
+  /// as one node, so every other worker is a local victim.
   void set_worker_nodes(const std::vector<unsigned>& nodes);
 
   /// Owner pop from the bottom of `worker`'s own deque.
   std::optional<Chunk> pop_own(unsigned worker);
 
-  /// One steal attempt per `policy`. nullopt = every candidate looked
-  /// empty or the thief lost its race; retry while !drained().
-  std::optional<Chunk> steal(unsigned thief, VictimPolicy policy,
-                             Xoshiro256ss& rng);
+  /// One steal attempt: uniform random probes over the thief's local
+  /// victims, then over its remote ones. nullopt = every probe found an
+  /// empty deque or lost its race; retry while !drained().
+  std::optional<Chunk> steal(unsigned thief, Xoshiro256ss& rng);
 
   /// pop_own, falling back to one steal attempt.
-  std::optional<Chunk> acquire(unsigned worker, VictimPolicy policy,
-                               Xoshiro256ss& rng);
+  std::optional<Chunk> acquire(unsigned worker, Xoshiro256ss& rng);
 
   /// True once every chunk of the current fill has been handed out
   /// (handed out, not necessarily finished — pair with a pool barrier).
@@ -78,17 +79,14 @@ class StealPool {
     StealStats stats;
   };
   std::optional<Chunk> try_victim(unsigned thief, unsigned victim);
-  std::optional<Chunk> steal_from(unsigned thief, VictimPolicy policy,
-                                  Xoshiro256ss& rng,
+  std::optional<Chunk> steal_from(unsigned thief, Xoshiro256ss& rng,
                                   const std::vector<unsigned>& victims);
 
   std::vector<std::unique_ptr<Slot>> slots_;
   /// Per-thief victim lists in ring order from the thief, split into
-  /// same-node and remote; empty vectors unless set_worker_nodes() saw
-  /// at least two distinct nodes.
+  /// same-node and remote (remote lists are empty on one node).
   std::vector<std::vector<unsigned>> local_victims_;
   std::vector<std::vector<unsigned>> remote_victims_;
-  bool node_aware_ = false;
   alignas(64) sync::atomic<std::int64_t> remaining_{0};
 };
 

@@ -7,7 +7,6 @@ namespace gcg::svc {
 const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kPar: return "par";
-    case Backend::kSim: return "sim";
     case Backend::kShard: return "shard";
   }
   return "?";
@@ -15,9 +14,12 @@ const char* backend_name(Backend b) {
 
 Backend backend_from_name(const std::string& name) {
   if (name == "par") return Backend::kPar;
-  if (name == "sim") return Backend::kSim;
   if (name == "shard") return Backend::kShard;
-  throw std::invalid_argument("unknown backend: " + name + " (par|sim|shard)");
+  throw std::invalid_argument("unknown backend: " + name + " (par|shard)");
+}
+
+const char* default_algorithm(Backend b) {
+  return b == Backend::kShard ? "jpl" : "steal";
 }
 
 const char* job_status_name(JobStatus s) {

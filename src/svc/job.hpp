@@ -20,12 +20,15 @@ namespace gcg::svc {
 /// Which execution backend colors the graph.
 enum class Backend {
   kPar,    ///< native multicore (par::run_par_coloring) — the serving path
-  kSim,    ///< simulated GPU (run_coloring) — characterization jobs
   kShard,  ///< multi-process sharded coloring (src/shard/ coordinator)
 };
 
 const char* backend_name(Backend b);
 Backend backend_from_name(const std::string& name);
+/// Algorithm a job runs when its spec names none: steal for par, jpl for
+/// shard (deterministic, so sharded results stay bit-stable across worker
+/// counts — docs/SHARDING.md).
+const char* default_algorithm(Backend b);
 
 struct JobSpec {
   std::string graph;            ///< registry spec: path or gen:name?...
@@ -33,10 +36,6 @@ struct JobSpec {
   std::string algorithm = "steal";  ///< backend-specific algorithm name
   std::string priority = "random";  ///< PriorityMode name
   std::uint64_t seed = 1;
-  unsigned threads = 0;         ///< par only: 0 = scheduler's per-job pool
-  std::uint32_t grain = 0;      ///< par only: chunk grain; 0 = backend default
-  std::string schedule;         ///< par only: "vertex"|"edge"; "" = default
-  std::uint32_t hub_threshold = 0;  ///< par only: hub degree cutoff; 0 = auto
   /// par only: preprocessing vertex order ("degree-desc", "rcm", ...;
   /// graph/reorder.hpp names); "" = natural. Colors come back in the
   /// graph's original vertex ids regardless. For kShard use a gen: spec

@@ -27,14 +27,6 @@ struct JobQueueTraits {
   static std::uint64_t id(const JobPtr& j) { return j->id; }
 };
 
-// The one shared instantiation lives in job_queue.cpp.
-extern template class detail::BasicBatchQueue<JobPtr, JobQueueTraits>;
-
-class JobQueue : public detail::BasicBatchQueue<JobPtr, JobQueueTraits> {
-  using Base = detail::BasicBatchQueue<JobPtr, JobQueueTraits>;
-
- public:
-  using Base::Base;
-};
+using JobQueue = detail::BasicBatchQueue<JobPtr, JobQueueTraits>;
 
 }  // namespace gcg::svc

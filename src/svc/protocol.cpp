@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "par/runner.hpp"
+#include "graph/reorder.hpp"
 #include "util/narrow.hpp"
 
 namespace gcg::svc {
@@ -107,11 +107,14 @@ void require_range(const Json& req, vid_t& begin, vid_t& end) {
 
 std::uint64_t require_id(const Json& req) { return require_u64(req, "id"); }
 
-/// Shard seeds are full 64-bit hash outputs; JSON has no u64, so they
-/// travel as two's-complement int64 and cast back bit-for-bit. Any
-/// integral number (negative included) is therefore valid here.
-std::uint64_t require_seed(const Json& req) {
+/// Seeds are full 64-bit values (job seeds, shard hash outputs); JSON has
+/// no u64, so they travel as two's-complement int64 and cast back
+/// bit-for-bit. Any integral number (negative included) is therefore
+/// valid here. An absent seed is an error unless `fallback` is given.
+std::uint64_t require_seed(const Json& req,
+                           std::optional<std::uint64_t> fallback = {}) {
   const Json* v = req.find("seed");
+  if (!v && fallback) return *fallback;
   if (!v || !v->is_number()) {
     throw std::runtime_error("missing or non-numeric \"seed\"");
   }
@@ -174,43 +177,12 @@ std::optional<Json> check_protocol_version(const Json& req) {
 
 JobSpec job_spec_from_json(const Json& req) {
   JobSpec spec;
-  const Json* graph = req.find("graph");
-  if (!graph || !graph->is_string() || graph->as_string().empty()) {
-    throw std::runtime_error("submit requires a non-empty \"graph\" string");
-  }
-  spec.graph = graph->as_string();
+  spec.graph = require_graph(req);
   spec.backend = backend_from_name(req.get_string("backend", "par"));
-  // Per-backend algorithm defaults: shard wants jpl because it is
-  // deterministic — sharded results must be bit-stable across worker
-  // counts (docs/SHARDING.md).
-  const char* default_algorithm =
-      spec.backend == Backend::kPar
-          ? "steal"
-          : (spec.backend == Backend::kShard ? "jpl" : "hybrid+steal");
-  spec.algorithm = req.get_string("algorithm", default_algorithm);
+  spec.algorithm =
+      req.get_string("algorithm", default_algorithm(spec.backend));
   spec.priority = req.get_string("priority", "random");
-  const std::int64_t seed = req.get_int("seed", 1);
-  if (seed < 0) throw std::runtime_error("\"seed\" must be >= 0");
-  spec.seed = to_unsigned(seed);
-  const std::int64_t threads = req.get_int("threads", 0);
-  if (threads < 0 || threads > 4096) {
-    throw std::runtime_error("\"threads\" must be in [0, 4096]");
-  }
-  spec.threads = narrow<unsigned>(threads);
-  const std::int64_t grain = req.get_int("grain", 0);
-  if (grain < 0 || grain > 0xFFFFFFFFll) {
-    throw std::runtime_error("\"grain\" must be in [0, 4294967295]");
-  }
-  spec.grain = narrow<std::uint32_t>(grain);
-  spec.schedule = req.get_string("schedule", "");
-  if (!spec.schedule.empty()) {
-    par::schedule_from_name(spec.schedule);  // throws on unknown names
-  }
-  const std::int64_t hub = req.get_int("hub_threshold", 0);
-  if (hub < 0 || hub > 0xFFFFFFFFll) {
-    throw std::runtime_error("\"hub_threshold\" must be in [0, 4294967295]");
-  }
-  spec.hub_threshold = narrow<std::uint32_t>(hub);
+  spec.seed = require_seed(req, 1);
   spec.order = req.get_string("order", "");
   if (!spec.order.empty()) {
     try {
@@ -251,10 +223,6 @@ Json job_spec_to_json(const JobSpec& spec) {
   out["algorithm"] = Json(spec.algorithm);
   out["priority"] = Json(spec.priority);
   out["seed"] = Json(spec.seed);
-  out["threads"] = count_json(spec.threads);
-  out["grain"] = count_json(spec.grain);
-  if (!spec.schedule.empty()) out["schedule"] = Json(spec.schedule);
-  out["hub_threshold"] = count_json(spec.hub_threshold);
   if (!spec.order.empty()) out["order"] = Json(spec.order);
   out["deadline_ms"] = Json(spec.deadline_ms);
   out["keep_colors"] = Json(spec.keep_colors);

@@ -52,9 +52,9 @@ Json error_reply(const std::string& code, const std::string& detail);
 /// mode servers (the shard worker) call it themselves.
 std::optional<Json> check_protocol_version(const Json& req);
 
-/// Parses the submit-verb fields of `req` into a JobSpec. Throws
-/// std::runtime_error on missing/ill-typed fields (the server maps that to
-/// a bad_request reply).
+/// Parses the submit-verb fields of `req` into a JobSpec; unknown keys
+/// are ignored. Throws std::runtime_error on missing/ill-typed fields (the
+/// server maps that to a bad_request reply).
 JobSpec job_spec_from_json(const Json& req);
 Json job_spec_to_json(const JobSpec& spec);
 

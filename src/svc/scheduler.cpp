@@ -5,12 +5,10 @@
 #include <exception>
 #include <utility>
 
-#include "coloring/priorities.hpp"
-#include "coloring/runner.hpp"
 #include "check/check.hpp"
+#include "coloring/priorities.hpp"
 #include "par/pool.hpp"
 #include "par/runner.hpp"
-#include "simgpu/dispatch.hpp"
 
 namespace gcg::svc {
 
@@ -26,12 +24,8 @@ double ms_since(Clock::time_point t0, Clock::time_point t1) {
 std::string validate_spec(const JobSpec& spec, bool have_shard_backend) {
   try {
     priority_mode_from_name(spec.priority);
-    if (spec.backend == Backend::kPar || spec.backend == Backend::kShard) {
-      // Shard interiors run on the par backend inside each worker.
-      par::par_algorithm_from_name(spec.algorithm);
-    } else {
-      algorithm_from_name(spec.algorithm);
-    }
+    // Shard interiors run on the par backend inside each worker.
+    par::par_algorithm_from_name(spec.algorithm);
   } catch (const std::exception& e) {
     return e.what();
   }
@@ -264,74 +258,46 @@ void Scheduler::run_one(par::ThreadPool& pool, const JobPtr& job,
   result.mapped = graph->is_view();  // zero-copy: served off the mmap store
 
   try {
-    if (opts_.verify) {
-      // A malformed graph would make every downstream "valid coloring"
-      // claim meaningless, so the certificate check starts at the input.
-      if (const auto issue = check::validate_csr(*graph)) {
-        JobResult r = std::move(result);
-        r.error = "invalid_graph: " + issue->to_string();
-        finish(job, JobStatus::kFailed, std::move(r));
-        return;
-      }
+    // A malformed graph would make every downstream "valid coloring"
+    // claim meaningless, so the certificate check starts at the input.
+    if (const auto issue = check::validate_csr(*graph)) {
+      JobResult r = std::move(result);
+      r.error = "invalid_graph: " + issue->to_string();
+      finish(job, JobStatus::kFailed, std::move(r));
+      return;
     }
-    const PriorityMode prio = priority_mode_from_name(job->spec.priority);
     std::vector<color_t> colors;
     bool cancelled = false;
 
     if (job->spec.backend == Backend::kPar) {
       par::ParOptions popts;
-      popts.priority = prio;
+      popts.priority = priority_mode_from_name(job->spec.priority);
       popts.seed = job->spec.seed;
-      if (job->spec.grain != 0) popts.grain = job->spec.grain;
-      if (!job->spec.schedule.empty()) {
-        popts.schedule = par::schedule_from_name(job->spec.schedule);
-      }
       if (!job->spec.order.empty()) {
         // Validated at the protocol boundary; the runner reorders, colors
         // the relabeled graph, and unmaps back to the caller's vertex ids.
         popts.order = order_from_name(job->spec.order);
       }
-      popts.hub_degree_threshold = job->spec.hub_threshold;
       JobRecord* rec = job.get();
       popts.should_cancel = [rec, has_deadline, deadline] {
         // order: relaxed — poll of the standalone cancel flag.
         return rec->cancel.load(std::memory_order_relaxed) ||
                (has_deadline && Clock::now() > deadline);
       };
-      const par::ParAlgorithm algo =
-          par::par_algorithm_from_name(job->spec.algorithm);
-      par::ParRun run;
-      if (job->spec.threads != 0 && job->spec.threads != pool.size()) {
-        popts.threads = job->spec.threads;  // ad-hoc pool for this job
-        run = par::run_par_coloring(*graph, algo, popts);
-      } else {
-        run = par::run_par_coloring(pool, *graph, algo, popts);
-      }
+      par::ParRun run = par::run_par_coloring(
+          pool, *graph, par::par_algorithm_from_name(job->spec.algorithm),
+          popts);
       result.num_colors = run.num_colors;
       result.iterations = run.iterations;
       result.run_ms = run.wall_ms;
       result.threads = run.threads;
       cancelled = run.cancelled;
       colors = std::move(run.colors);
-    } else if (job->spec.backend == Backend::kShard) {
+    } else {
       // Sharded multi-process run via the injected coordinator. No
       // mid-run cancellation hook (the fleet round-trip is the unit of
       // progress); the deadline was checked at dispatch.
       colors = opts_.shard_backend->run(job->spec, *graph, result);
-    } else {
-      // Characterization job on the simulated device. No mid-run
-      // cancellation hook; the deadline was checked at dispatch.
-      ColoringOptions copts;
-      copts.priority = prio;
-      copts.seed = job->spec.seed;
-      copts.collect_launches = false;
-      const Algorithm algo = algorithm_from_name(job->spec.algorithm);
-      ColoringRun run = run_coloring(simgpu::tahiti(), *graph, algo, copts);
-      result.num_colors = run.num_colors;
-      result.iterations = run.iterations;
-      result.run_ms = run.total_ms;  // model time, not wall time
-      result.threads = 1;
-      colors = std::move(run.colors);
     }
 
     if (cancelled) {
@@ -347,15 +313,13 @@ void Scheduler::run_one(par::ThreadPool& pool, const JobPtr& job,
       return;
     }
 
-    if (opts_.verify) {
-      if (const auto violation = check::verify_coloring(*graph, colors)) {
-        JobResult r = std::move(result);
-        r.error = "invalid_coloring: " + violation->to_string();
-        finish(job, JobStatus::kFailed, std::move(r));
-        return;
-      }
-      result.verified = true;
+    if (const auto violation = check::verify_coloring(*graph, colors)) {
+      JobResult r = std::move(result);
+      r.error = "invalid_coloring: " + violation->to_string();
+      finish(job, JobStatus::kFailed, std::move(r));
+      return;
     }
+    result.verified = true;
     if (job->spec.keep_colors) result.colors = std::move(colors);
     finish(job, JobStatus::kDone, std::move(result));
   } catch (const std::exception& e) {

@@ -1,12 +1,13 @@
 // The service's execution core: a team of dispatcher threads pulls
 // same-graph batches off the bounded JobQueue, resolves the graph through
-// the GraphRegistry, and runs each job on the native par backend (or the
-// simulated GPU for characterization jobs). Handles admission control
-// (queue-full rejection), per-job deadlines and cancellation (via the par
-// backend's should_cancel hook), and keeps per-request latency and batch
-// statistics for the `stats` verb. Protocol-agnostic: the socket server
-// (svc/server.hpp) and in-process users (tests, bench_svc_throughput)
-// drive the same API.
+// the GraphRegistry, and runs each job on its dispatcher's par pool (or
+// through the injected shard coordinator). Every graph is validated and
+// every coloring verified before a job reports done. Handles admission
+// control (queue-full rejection), per-job deadlines and cancellation (via
+// the par backend's should_cancel hook), and keeps per-request latency
+// and batch statistics for the `stats` verb. Protocol-agnostic: the
+// socket server (svc/server.hpp) and in-process users (tests,
+// bench_svc_throughput) drive the same API.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +50,8 @@ class ShardBackendIf {
 struct SchedulerOptions {
   unsigned dispatchers = 2;     ///< jobs running concurrently
   /// Worker threads per dispatcher pool; 0 splits hardware_concurrency
-  /// evenly across dispatchers (min 1). A job's spec.threads overrides
-  /// with an ad-hoc pool for that job only.
+  /// evenly across dispatchers (min 1). Every par job runs on its
+  /// dispatcher's pool.
   unsigned threads_per_job = 0;
   std::size_t queue_capacity = 64;   ///< queued jobs before submit rejects
   std::size_t batch_limit = 8;       ///< max same-graph jobs per dispatch
@@ -58,7 +59,6 @@ struct SchedulerOptions {
   /// Latency samples kept for percentile reporting (sliding window, so
   /// memory and stats-query cost stay bounded on a long-running service).
   std::size_t latency_window = 4096;
-  bool verify = true;                ///< check colorings before reporting
   GraphRegistry::Options registry;
   /// Sharded-backend coordinator; null = backend=shard jobs rejected.
   std::shared_ptr<ShardBackendIf> shard_backend;

@@ -86,7 +86,7 @@ TEST(StealPoolTest, AcquireDrainsEverythingThroughPopsAndSteals) {
   std::vector<int> seen(chunks.size(), 0);
   // Worker 3 does all the draining: its own block first, then steals.
   while (!pool.drained()) {
-    if (auto c = pool.acquire(3, VictimPolicy::kRandom, rng)) {
+    if (auto c = pool.acquire(3, rng)) {
       ++seen[c->begin / 10];
     }
   }
@@ -95,65 +95,63 @@ TEST(StealPoolTest, AcquireDrainsEverythingThroughPopsAndSteals) {
   EXPECT_EQ(pool.stats().pops + pool.stats().chunks_stolen, chunks.size());
 }
 
-TEST(StealPoolTest, EveryVictimPolicyDrains) {
-  for (VictimPolicy policy :
-       {VictimPolicy::kRandom, VictimPolicy::kRichest, VictimPolicy::kRing}) {
-    StealPool pool(3);
-    pool.fill(deal_round_robin(make_chunks(120, 10), 3));
-    Xoshiro256ss rng(11);
-    std::uint32_t got = 0;
-    while (!pool.drained()) {
-      if (pool.acquire(0, policy, rng)) ++got;
-    }
-    EXPECT_EQ(got, 12u) << victim_policy_name(policy);
+TEST(StealPoolTest, RandomStealingDrains) {
+  StealPool pool(3);
+  pool.fill(deal_round_robin(make_chunks(120, 10), 3));
+  Xoshiro256ss rng(11);
+  std::uint32_t got = 0;
+  while (!pool.drained()) {
+    if (pool.acquire(0, rng)) ++got;
   }
+  EXPECT_EQ(got, 12u);
 }
 
-TEST(StealPoolTest, NodeAwareStealingDrainsUnderEveryPolicy) {
+TEST(StealPoolTest, NodeAwareStealingDrains) {
   // Two fake nodes, two workers each: the split victim lists must still
-  // hand out every chunk exactly once under every policy.
-  for (VictimPolicy policy :
-       {VictimPolicy::kRandom, VictimPolicy::kRichest, VictimPolicy::kRing}) {
-    StealPool pool(4);
-    pool.set_worker_nodes({0, 0, 1, 1});
-    pool.fill(deal_round_robin(make_chunks(160, 10), 4));
-    Xoshiro256ss rng(5);
-    std::uint32_t got = 0;
-    while (!pool.drained()) {
-      if (pool.acquire(0, policy, rng)) ++got;
-    }
-    EXPECT_EQ(got, 16u) << victim_policy_name(policy);
+  // hand out every chunk exactly once.
+  StealPool pool(4);
+  pool.set_worker_nodes({0, 0, 1, 1});
+  pool.fill(deal_round_robin(make_chunks(160, 10), 4));
+  Xoshiro256ss rng(5);
+  std::uint32_t got = 0;
+  while (!pool.drained()) {
+    if (pool.acquire(0, rng)) ++got;
   }
+  EXPECT_EQ(got, 16u);
 }
 
-TEST(StealPoolTest, NodeAwareRingStealsLocalVictimFirst) {
+TEST(StealPoolTest, NodeAwareStealsLocalVictimFirst) {
   // Thief 0 shares node 0 with worker 1; workers 2 and 3 are remote. With
-  // both a local and a remote victim loaded, the ring policy must take
-  // the local one first and only then cross nodes.
+  // both a local and a remote victim loaded, the first steal must take
+  // the local one; only once it is empty may a steal cross nodes.
   StealPool pool(4);
   pool.set_worker_nodes({0, 0, 1, 1});
   const Chunk local{0, 10}, remote{10, 20};
   pool.fill({{}, {local}, {remote}, {}});
   Xoshiro256ss rng(3);
-  const auto first = pool.steal(0, VictimPolicy::kRing, rng);
+  const auto first = pool.steal(0, rng);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(*first, local);
-  const auto second = pool.steal(0, VictimPolicy::kRing, rng);
+  // Random probes over {2, 3} may all hit the empty deque; retry.
+  std::optional<Chunk> second;
+  for (int tries = 0; tries < 64 && !second; ++tries) {
+    second = pool.steal(0, rng);
+  }
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(*second, remote);
   EXPECT_TRUE(pool.drained());
 }
 
 TEST(StealPoolTest, SingleNodeAssignmentLeavesBehaviorUnchanged) {
-  // All workers on one node: set_worker_nodes must be a no-op (no split
-  // lists), so this is exactly the legacy drain.
+  // All workers on one node: every other worker is a local victim, the
+  // same victim space as never calling set_worker_nodes.
   StealPool pool(3);
   pool.set_worker_nodes({0, 0, 0});
   pool.fill(deal_round_robin(make_chunks(90, 10), 3));
   Xoshiro256ss rng(9);
   std::uint32_t got = 0;
   while (!pool.drained()) {
-    if (pool.acquire(1, VictimPolicy::kRing, rng)) ++got;
+    if (pool.acquire(1, rng)) ++got;
   }
   EXPECT_EQ(got, 9u);
 }
@@ -170,7 +168,7 @@ TEST(StealPoolTest, ConcurrentWorkersDeliverEveryChunkOnce) {
     team.emplace_back([&, w] {
       Xoshiro256ss rng(100 + w);
       while (!pool.drained()) {
-        if (auto c = pool.acquire(w, VictimPolicy::kRandom, rng)) {
+        if (auto c = pool.acquire(w, rng)) {
           seen[c->begin / 4].fetch_add(1);
         } else {
           std::this_thread::yield();
@@ -190,10 +188,10 @@ TEST(StealPoolTest, StatsAccumulateAcrossFillsUntilReset) {
   StealPool pool(2);
   Xoshiro256ss rng(1);
   pool.fill(deal_blocked(make_chunks(20, 10), 2));
-  while (!pool.drained()) pool.acquire(0, VictimPolicy::kRing, rng);
+  while (!pool.drained()) pool.acquire(0, rng);
   const auto first = pool.stats();
   pool.fill(deal_blocked(make_chunks(20, 10), 2));
-  while (!pool.drained()) pool.acquire(0, VictimPolicy::kRing, rng);
+  while (!pool.drained()) pool.acquire(0, rng);
   EXPECT_EQ(pool.stats().pops + pool.stats().chunks_stolen,
             2 * (first.pops + first.chunks_stolen));
   pool.reset_stats();

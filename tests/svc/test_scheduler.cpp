@@ -63,36 +63,6 @@ TEST(Scheduler, AllParAlgorithmsAndPriorities) {
   }
 }
 
-TEST(Scheduler, SchedulingKnobsReachTheParBackend) {
-  Scheduler sched(small_opts());
-  // Same skewed graph, deterministic algorithm, one job per schedule
-  // variant: all must complete, verify, and (being jpl) agree on the
-  // color count regardless of partitioning or the hub path.
-  std::vector<std::uint64_t> ids;
-  for (const char* schedule : {"vertex", "edge"}) {
-    for (std::uint32_t hub : {0u, 64u, 0xFFFFFFFFu}) {
-      JobSpec spec = par_job(kTinySkewed, "jpl");
-      spec.priority = "natural";
-      spec.grain = 128;
-      spec.schedule = schedule;
-      spec.hub_threshold = hub;
-      const auto sub = sched.submit(std::move(spec));
-      ASSERT_TRUE(sub.accepted) << schedule << "/" << hub;
-      ids.push_back(sub.id);
-    }
-  }
-  int colors = -1;
-  for (const auto id : ids) {
-    const auto snap = sched.wait(id);
-    ASSERT_TRUE(snap.has_value());
-    EXPECT_EQ(snap->status, JobStatus::kDone) << snap->result.error;
-    EXPECT_TRUE(snap->result.verified);
-    if (colors < 0) colors = snap->result.num_colors;
-    EXPECT_EQ(snap->result.num_colors, colors)
-        << "jpl must be schedule-invariant";
-  }
-}
-
 TEST(Scheduler, OrderKnobReachesTheParBackend) {
   Scheduler sched(small_opts());
   // Every order must complete, verify on the ORIGINAL vertex ids (the
@@ -122,15 +92,12 @@ TEST(Scheduler, ProtocolValidatesOrderKnob) {
   EXPECT_EQ(bad.get_string("error", ""), kErrBadRequest);
 
   // The reorder pipeline is par-only: shard workers cannot reproduce a
-  // job-level order (they resolve graphs from the spec string), and the
-  // sim backend has no pipeline at all.
-  for (const char* backend : {"shard", "sim"}) {
-    const Json rejected = handle_request_line(
-        sched, std::string("{\"op\":\"submit\",\"graph\":\"") + kTiny +
-                   "\",\"backend\":\"" + backend + "\",\"order\":\"rcm\"}");
-    EXPECT_FALSE(rejected.get_bool("ok", true)) << backend;
-    EXPECT_EQ(rejected.get_string("error", ""), kErrBadRequest) << backend;
-  }
+  // job-level order (they resolve graphs from the spec string).
+  const Json rejected = handle_request_line(
+      sched, std::string("{\"op\":\"submit\",\"graph\":\"") + kTiny +
+                 "\",\"backend\":\"shard\",\"order\":\"rcm\"}");
+  EXPECT_FALSE(rejected.get_bool("ok", true));
+  EXPECT_EQ(rejected.get_string("error", ""), kErrBadRequest);
 
   const Json good = handle_request_line(
       sched, std::string("{\"op\":\"submit\",\"graph\":\"") + kTiny +
@@ -139,41 +106,40 @@ TEST(Scheduler, ProtocolValidatesOrderKnob) {
   EXPECT_EQ(good.get_string("status", ""), "done");
 }
 
-TEST(Scheduler, ProtocolValidatesSchedulingKnobs) {
-  Scheduler sched(small_opts());
-  // An unknown schedule name must be rejected at parse time, before the
-  // job ever reaches the queue.
-  const Json bad = handle_request_line(
-      sched, std::string("{\"op\":\"submit\",\"graph\":\"") + kTiny +
-                 "\",\"schedule\":\"bogus\"}");
-  EXPECT_FALSE(bad.get_bool("ok", true));
-  EXPECT_EQ(bad.get_string("error", ""), kErrBadRequest);
-
-  const Json neg = handle_request_line(
-      sched, std::string("{\"op\":\"submit\",\"graph\":\"") + kTiny +
-                 "\",\"grain\":-5}");
-  EXPECT_FALSE(neg.get_bool("ok", true));
-
-  const Json good = handle_request_line(
-      sched, std::string("{\"op\":\"submit\",\"graph\":\"") + kTiny +
-                 "\",\"schedule\":\"edge\",\"grain\":256,"
-                 "\"hub_threshold\":1024,\"wait\":true}");
-  EXPECT_TRUE(good.get_bool("ok", false)) << good.dump();
-  EXPECT_EQ(good.get_string("status", ""), "done");
-}
-
-TEST(Scheduler, SimBackendCharacterizationJob) {
-  Scheduler sched(small_opts());
-  JobSpec spec;
-  spec.graph = kTiny;
-  spec.backend = Backend::kSim;
-  spec.algorithm = "hybrid+steal";
-  const auto sub = sched.submit(std::move(spec));
-  ASSERT_TRUE(sub.accepted);
-  const auto snap = sched.wait(sub.id);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->status, JobStatus::kDone) << snap->result.error;
-  EXPECT_GT(snap->result.num_colors, 0);
+TEST(Scheduler, JobSpecJsonRoundTrip) {
+  // Every JobSpec field survives job_spec_to_json -> job_spec_from_json,
+  // the path a Client-submitted job takes to the scheduler.
+  for (const Backend backend : {Backend::kPar, Backend::kShard}) {
+    JobSpec s;
+    s.graph = kTinySkewed;
+    s.backend = backend;
+    s.algorithm = "jpl";
+    s.priority = "degree-biased";
+    s.seed = UINT64_MAX;
+    if (backend == Backend::kPar) s.order = "rcm";
+    s.deadline_ms = 250.5;
+    s.keep_colors = true;
+    s.shards = 3;
+    s.shard_rounds = 7;
+    const JobSpec r = job_spec_from_json(job_spec_to_json(s));
+    EXPECT_EQ(r.graph, s.graph);
+    EXPECT_EQ(r.backend, s.backend);
+    EXPECT_EQ(r.algorithm, s.algorithm);
+    EXPECT_EQ(r.priority, s.priority);
+    EXPECT_EQ(r.seed, s.seed);
+    EXPECT_EQ(r.order, s.order);
+    EXPECT_EQ(r.deadline_ms, s.deadline_ms);
+    EXPECT_EQ(r.keep_colors, s.keep_colors);
+    EXPECT_EQ(r.shards, s.shards);
+    EXPECT_EQ(r.shard_rounds, s.shard_rounds);
+  }
+  // Absent fields take the per-backend defaults.
+  Json shard{JsonObject{}};
+  shard["graph"] = Json(std::string(kTiny));
+  shard["backend"] = Json(std::string("shard"));
+  const JobSpec d = job_spec_from_json(shard);
+  EXPECT_EQ(d.algorithm, default_algorithm(Backend::kShard));
+  EXPECT_EQ(d.seed, 1u);
 }
 
 TEST(Scheduler, KeepColorsReturnsFullAssignment) {

@@ -210,6 +210,58 @@ TEST(ServerE2E, StatusCancelAndErrorVerbs) {
   server.stop();
 }
 
+TEST(ServerE2E, RemovedTuningKeysAreIgnoredAndSimIsUnknown) {
+  Server server(small_server(unique_socket_path("knobs")));
+  Client client(server.socket_path());
+
+  // Per-job tuning keys are unknown keys now: ignored, never validated,
+  // and the job runs on its dispatcher's pool at threads_per_job.
+  Json knobs{JsonObject{}};
+  knobs["op"] = Json(std::string("submit"));
+  knobs["graph"] = Json(std::string(kGraphs[1]));
+  knobs["threads"] = Json(std::int64_t{4096});
+  knobs["grain"] = Json(std::int64_t{7});
+  knobs["schedule"] = Json(std::string("bogus"));
+  knobs["hub_threshold"] = Json(std::int64_t{1});
+  knobs["wait"] = Json(true);
+  Json reply = client.request(knobs);
+  ASSERT_TRUE(reply.get_bool("ok", false)) << reply.dump();
+  EXPECT_EQ(reply.get_string("status", ""), "done");
+  ASSERT_NE(reply.find("result"), nullptr);
+  EXPECT_EQ(reply.find("result")->get_int("threads", 0),
+            std::int64_t{server.scheduler().options().threads_per_job});
+  EXPECT_TRUE(reply.find("result")->get_bool("verified", false));
+
+  // The simulated backend is gone from the service: an unknown backend.
+  Json sim{JsonObject{}};
+  sim["op"] = Json(std::string("submit"));
+  sim["graph"] = Json(std::string(kGraphs[0]));
+  sim["backend"] = Json(std::string("sim"));
+  reply = client.request(sim);
+  EXPECT_FALSE(reply.get_bool("ok", true));
+  EXPECT_EQ(reply.get_string("error", ""), kErrBadRequest);
+
+  // The same connection still answers.
+  EXPECT_TRUE(client.ping());
+  server.stop();
+}
+
+TEST(ServerE2E, FullWidthSeedSurvivesTheWire) {
+  // Seeds travel as two's-complement int64, so a seed of 2^63 or above
+  // arrives as a negative number and must still be accepted.
+  Server server(small_server(unique_socket_path("seed")));
+  Client client(server.socket_path());
+  JobSpec spec;
+  spec.graph = kGraphs[0];
+  spec.seed = UINT64_MAX;
+  const Json reply = client.submit(spec, /*wait=*/true);
+  ASSERT_TRUE(reply.get_bool("ok", false)) << reply.dump();
+  EXPECT_EQ(reply.get_string("status", ""), "done");
+  ASSERT_NE(reply.find("result"), nullptr);
+  EXPECT_TRUE(reply.find("result")->get_bool("verified", false));
+  server.stop();
+}
+
 TEST(ServerE2E, MalformedLineYieldsProtocolError) {
   Server server(small_server(unique_socket_path("proto")));
 
