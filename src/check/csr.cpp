@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "util/narrow.hpp"
 
@@ -60,6 +61,50 @@ std::string CsrIssue::to_string() const {
   return os.str();
 }
 
+namespace {
+
+/// One linear sweep that proves a CSR with sound offsets is well formed
+/// under the default options: every row strictly ascending and in range,
+/// no self loop unless allowed, and every arc matched by its mate.
+///
+/// Rows are visited in ascending u, so the mates of row v's lower part
+/// (its entries below v) are met in the order they sit in that row: the
+/// mate of each upper arc u->v must be the next unclaimed entry of row v.
+/// claimed[v] counts row v's claimed entries; a row of distinct in-range
+/// vertices has fewer than n of them, so a vid_t holds the count. When
+/// the sweep reaches row u, its lower part must be exactly its claimed
+/// prefix, so the rest of the row (an optional self loop, then the upper
+/// part) is the only part read here, and it must ascend strictly above u.
+///
+/// False means some check failed; the caller's exact sweeps then name the
+/// first defect in row order, so the issue never depends on this pass.
+bool well_formed_ascending(std::span<const eid_t> rows,
+                           std::span<const vid_t> cols, vid_t n,
+                           bool allow_self_loops) {
+  std::vector<vid_t> claimed(n, 0);
+  for (vid_t u = 0; u < n; ++u) {
+    const eid_t end = rows[u + 1];
+    eid_t k = rows[u] + claimed[u];
+    if (k < end && cols[k] == u) {
+      if (!allow_self_loops) return false;
+      ++k;
+    }
+    vid_t prev = u;
+    for (; k < end; ++k) {
+      const vid_t v = cols[k];
+      // v <= prev: an unclaimed lower arc, or a row out of order.
+      if (v <= prev || v >= n) return false;
+      prev = v;
+      const eid_t mate = rows[v] + claimed[v];
+      if (mate >= rows[v + 1] || cols[mate] != u) return false;
+      ++claimed[v];
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 std::optional<CsrIssue> validate_csr(std::span<const eid_t> rows,
                                      std::span<const vid_t> cols,
                                      const CsrCheckOptions& opts) {
@@ -78,6 +123,10 @@ std::optional<CsrIssue> validate_csr(std::span<const eid_t> rows,
   }
   if (rows.back() != cols.size()) {
     return CsrIssue{CsrDefect::kArcCountMismatch, n, rows.back(), cols.size()};
+  }
+  if (opts.require_sorted && opts.require_unique && opts.require_symmetric &&
+      well_formed_ascending(rows, cols, n, opts.allow_self_loops)) {
+    return std::nullopt;
   }
 
   for (vid_t u = 0; u < n; ++u) {

@@ -55,7 +55,11 @@ struct CsrCheckOptions {
 };
 
 /// Validate raw CSR arrays. Returns the first issue found, or nullopt if
-/// the arrays form a well-formed graph under `opts`.
+/// the arrays form a well-formed graph under `opts`. A valid graph costs
+/// one O(V + E) sweep under the default options (self loops may be
+/// allowed). Relaxed options, and locating the first defect of an invalid
+/// graph, take a row-order sweep plus, for symmetry, one search of the
+/// reverse row per arc: O(E log d) sorted, O(E d) unsorted.
 std::optional<CsrIssue> validate_csr(std::span<const eid_t> rows,
                                      std::span<const vid_t> cols,
                                      const CsrCheckOptions& opts = {});

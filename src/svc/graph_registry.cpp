@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "check/csr.hpp"
 #include "graph/gen/suite.hpp"
 #include "graph/io/io.hpp"
 #include "graph/reorder.hpp"
@@ -211,6 +212,24 @@ std::shared_ptr<const Csr> GraphRegistry::acquire(const std::string& spec,
     } else {
       graph = std::make_shared<const Csr>(load_graph(key));
     }
+    // Charge the newcomer and make room before validation reads it: a
+    // mapping costs no memory until its pages are touched, and validation
+    // touches all of them, so evicting only afterwards would keep a full
+    // cache resident alongside the newcomer.
+    {
+      sync::LockGuard lock(mu_);
+      auto it = entries_.find(key);
+      if (it != entries_.end()) {
+        it->second.bytes = mapped ? charge : graph_bytes(*graph);
+        it->second.mapped = mapped;
+        evict_to_capacity();
+      }
+    }
+    // Once per load, not per job: a malformed graph would make every
+    // later "valid coloring" claim about it meaningless.
+    if (const auto issue = check::validate_csr(*graph)) {
+      throw std::runtime_error("invalid_graph: " + issue->to_string());
+    }
   } catch (...) {
     {
       sync::LockGuard lock(mu_);
@@ -229,12 +248,7 @@ std::shared_ptr<const Csr> GraphRegistry::acquire(const std::string& spec,
   {
     sync::LockGuard lock(mu_);
     auto it = entries_.find(key);
-    if (it != entries_.end()) {  // may have been clear()ed meanwhile
-      it->second.bytes = mapped ? charge : graph_bytes(*graph);
-      it->second.mapped = mapped;
-      it->second.ready = true;
-      evict_to_capacity();
-    }
+    if (it != entries_.end()) it->second.ready = true;
   }
   promise.set_value(graph);
   return graph;

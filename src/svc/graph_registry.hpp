@@ -9,7 +9,12 @@
 // Concurrent requests for the same key share a single load: latecomers
 // block on the in-flight load instead of duplicating I/O or generation.
 // Entries are handed out as shared_ptr<const Csr>, so eviction never
-// invalidates a graph a running job still holds.
+// invalidates a graph a running job still holds. Every graph is checked
+// with check::validate_csr once, as part of its load: an invalid graph
+// is a load error ("invalid_graph: <defect>..."), never a cached entry.
+// A load is charged and makes room as soon as the graph is open, before
+// validation pages it in, so a full cache is never kept resident
+// alongside the newcomer.
 //
 // Store integration: a path carrying the .gbin v2 magic is opened
 // through store::MappedGraph and served as a zero-copy Csr view off the
@@ -67,9 +72,10 @@ class GraphRegistry {
                     ///< default argument while the enclosing class is open)
   explicit GraphRegistry(Options opts);
 
-  /// Returns the graph for `spec` (path or gen: spec), loading it on first
-  /// use. Throws std::runtime_error / std::invalid_argument on bad specs
-  /// or unreadable files; a failed load is not cached, so a later retry
+  /// Returns the graph for `spec` (path or gen: spec), loading and
+  /// validating it on first use. Throws std::runtime_error /
+  /// std::invalid_argument on bad specs, unreadable files or graphs that
+  /// fail validation; a failed load is not cached, so a later retry
   /// (e.g. after the file appears) attempts again. When `cache_hit` is
   /// non-null it reports whether this call was served from cache (resident
   /// entry or joining an in-flight load).

@@ -258,14 +258,6 @@ void Scheduler::run_one(par::ThreadPool& pool, const JobPtr& job,
   result.mapped = graph->is_view();  // zero-copy: served off the mmap store
 
   try {
-    // A malformed graph would make every downstream "valid coloring"
-    // claim meaningless, so the certificate check starts at the input.
-    if (const auto issue = check::validate_csr(*graph)) {
-      JobResult r = std::move(result);
-      r.error = "invalid_graph: " + issue->to_string();
-      finish(job, JobStatus::kFailed, std::move(r));
-      return;
-    }
     std::vector<color_t> colors;
     bool cancelled = false;
 

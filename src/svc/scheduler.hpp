@@ -1,13 +1,14 @@
 // The service's execution core: a team of dispatcher threads pulls
 // same-graph batches off the bounded JobQueue, resolves the graph through
 // the GraphRegistry, and runs each job on its dispatcher's par pool (or
-// through the injected shard coordinator). Every graph is validated and
-// every coloring verified before a job reports done. Handles admission
-// control (queue-full rejection), per-job deadlines and cancellation (via
-// the par backend's should_cancel hook), and keeps per-request latency
-// and batch statistics for the `stats` verb. Protocol-agnostic: the
-// socket server (svc/server.hpp) and in-process users (tests,
-// bench_svc_throughput) drive the same API.
+// through the injected shard coordinator). The registry validates each
+// graph once when it loads it (an invalid graph fails its batch as a
+// bad_graph load error), and every coloring is verified before a job
+// reports done. Handles admission control (queue-full rejection), per-job
+// deadlines and cancellation (via the par backend's should_cancel hook),
+// and keeps per-request latency and batch statistics for the `stats`
+// verb. Protocol-agnostic: the socket server (svc/server.hpp) and
+// in-process users (tests, bench_svc_throughput) drive the same API.
 #pragma once
 
 #include <cstdint>

@@ -6,14 +6,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <span>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "graph/gen/special.hpp"
 #include "graph/gen/random.hpp"
+#include "graph/gen/suite.hpp"
+#include "util/narrow.hpp"
+#include "util/rng.hpp"
 
 namespace gcg {
 namespace {
 
 using check::CsrCheckOptions;
 using check::CsrDefect;
+using check::CsrIssue;
 using check::validate_csr;
 
 struct MalformedCase {
@@ -93,6 +104,312 @@ TEST(ValidateCsr, AcceptsWellFormedGraphs) {
 TEST(ValidateCsr, EmptyGraphSingleOffsetIsValid) {
   const std::vector<eid_t> rows{0};
   EXPECT_FALSE(validate_csr(rows, {}).has_value());
+}
+
+// ---- Oracle: the linear sweep against the reverse-row search ----------
+
+/// The validator as it was before the linear sweep: the same
+/// structural sweep, then one binary search (or linear find) per arc in
+/// the reverse row. Every CsrIssue the production validator returns must
+/// equal this one field for field.
+std::optional<CsrIssue> reference_validate(std::span<const eid_t> rows,
+                                           std::span<const vid_t> cols,
+                                           const CsrCheckOptions& opts) {
+  if (rows.empty()) return CsrIssue{CsrDefect::kEmptyOffsets, 0, 0, 0};
+  if (rows.front() != 0) {
+    return CsrIssue{CsrDefect::kBadFirstOffset, 0, rows.front(), 0};
+  }
+  const vid_t n = narrow<vid_t>(rows.size() - 1);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    if (rows[i] < rows[i - 1]) {
+      return CsrIssue{CsrDefect::kNonMonotoneOffsets, narrow<vid_t>(i - 1),
+                      rows[i], i};
+    }
+  }
+  if (rows.back() != cols.size()) {
+    return CsrIssue{CsrDefect::kArcCountMismatch, n, rows.back(), cols.size()};
+  }
+  for (vid_t u = 0; u < n; ++u) {
+    for (eid_t k = rows[u]; k < rows[u + 1]; ++k) {
+      const vid_t v = cols[k];
+      const std::size_t at = narrow<std::size_t>(k);
+      if (v >= n) return CsrIssue{CsrDefect::kColumnOutOfRange, u, v, at};
+      if (v == u && !opts.allow_self_loops) {
+        return CsrIssue{CsrDefect::kSelfLoop, u, v, at};
+      }
+      if (k > rows[u]) {
+        const vid_t prev = cols[k - 1];
+        if (opts.require_unique && v == prev) {
+          return CsrIssue{CsrDefect::kDuplicateNeighbor, u, v, at};
+        }
+        if (opts.require_sorted && v < prev) {
+          return CsrIssue{CsrDefect::kUnsortedNeighbors, u, v, at};
+        }
+      }
+    }
+  }
+  if (!opts.require_symmetric) return std::nullopt;
+  for (vid_t u = 0; u < n; ++u) {
+    for (eid_t k = rows[u]; k < rows[u + 1]; ++k) {
+      const vid_t v = cols[k];
+      if (v == u) continue;
+      const vid_t* first = cols.data() + rows[v];
+      const vid_t* last = cols.data() + rows[v + 1];
+      const bool found = opts.require_sorted
+                             ? std::binary_search(first, last, u)
+                             : std::find(first, last, u) != last;
+      if (!found) {
+        return CsrIssue{CsrDefect::kAsymmetricEdge, u, v,
+                        narrow<std::size_t>(k)};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+std::string describe(const std::optional<CsrIssue>& issue) {
+  if (!issue) return "ok";
+  std::ostringstream os;
+  os << check::csr_defect_name(issue->defect) << " row=" << issue->row
+     << " value=" << issue->value << " index=" << issue->index;
+  return os.str();
+}
+
+/// Raw CSR arrays a corruption can edit freely.
+struct RawCsr {
+  std::vector<eid_t> rows;
+  std::vector<vid_t> cols;
+
+  explicit RawCsr(const Csr& g)
+      : rows(g.row_offsets().begin(), g.row_offsets().end()),
+        cols(g.col_indices().begin(), g.col_indices().end()) {}
+
+  vid_t n() const { return narrow<vid_t>(rows.size() - 1); }
+  eid_t begin(vid_t u) const { return rows[u]; }
+  eid_t end(vid_t u) const { return rows[u + 1]; }
+
+  void insert(vid_t u, eid_t at, vid_t v) {
+    cols.insert(cols.begin() + narrow<std::ptrdiff_t>(at), v);
+    for (std::size_t w = std::size_t{u} + 1; w < rows.size(); ++w) ++rows[w];
+  }
+  void erase(vid_t u, eid_t at) {
+    cols.erase(cols.begin() + narrow<std::ptrdiff_t>(at));
+    for (std::size_t w = std::size_t{u} + 1; w < rows.size(); ++w) --rows[w];
+  }
+  /// Inserts v into u's row at its ascending position.
+  void insert_sorted(vid_t u, vid_t v) {
+    const auto first = cols.begin() + narrow<std::ptrdiff_t>(begin(u));
+    const auto last = cols.begin() + narrow<std::ptrdiff_t>(end(u));
+    insert(u, narrow<eid_t>(std::lower_bound(first, last, v) - cols.begin()),
+           v);
+  }
+  bool has_arc(vid_t u, vid_t v) const {
+    const auto first = cols.begin() + narrow<std::ptrdiff_t>(begin(u));
+    const auto last = cols.begin() + narrow<std::ptrdiff_t>(end(u));
+    return std::binary_search(first, last, v);
+  }
+};
+
+enum class Corruption {
+  kNone,
+  kDropReverseArc,
+  kAddOneWayArc,
+  kAddSelfLoop,
+  kDuplicateColumn,
+  kSwapColumns,
+  kShiftOffset,
+};
+
+constexpr Corruption kCorruptions[] = {
+    Corruption::kNone,          Corruption::kDropReverseArc,
+    Corruption::kAddOneWayArc,  Corruption::kAddSelfLoop,
+    Corruption::kDuplicateColumn, Corruption::kSwapColumns,
+    Corruption::kShiftOffset,
+};
+
+vid_t random_vertex(Xoshiro256ss& rng, vid_t n) {
+  return narrow<vid_t>(rng.bounded(n));
+}
+
+/// A random vertex with at least `min_degree` neighbours (the graph must
+/// have one).
+vid_t vertex_with_degree(Xoshiro256ss& rng, const RawCsr& g,
+                         eid_t min_degree) {
+  while (true) {
+    const vid_t u = random_vertex(rng, g.n());
+    if (g.end(u) - g.begin(u) >= min_degree) return u;
+  }
+}
+
+eid_t random_slot(Xoshiro256ss& rng, const RawCsr& g, vid_t u) {
+  return g.begin(u) + rng.bounded(g.end(u) - g.begin(u));
+}
+
+void corrupt(RawCsr& g, Corruption kind, Xoshiro256ss& rng) {
+  switch (kind) {
+    case Corruption::kNone:
+      return;
+    case Corruption::kDropReverseArc: {
+      // u->v stays, v->u goes: v's row loses the entry u.
+      const vid_t u = vertex_with_degree(rng, g, 1);
+      const vid_t v = g.cols[random_slot(rng, g, u)];
+      const auto first = g.cols.begin() + narrow<std::ptrdiff_t>(g.begin(v));
+      const auto last = g.cols.begin() + narrow<std::ptrdiff_t>(g.end(v));
+      g.erase(v, narrow<eid_t>(std::lower_bound(first, last, u) -
+                               g.cols.begin()));
+      return;
+    }
+    case Corruption::kAddOneWayArc: {
+      while (true) {
+        const vid_t u = random_vertex(rng, g.n());
+        const vid_t v = random_vertex(rng, g.n());
+        if (u == v || g.has_arc(u, v)) continue;
+        g.insert_sorted(u, v);
+        return;
+      }
+    }
+    case Corruption::kAddSelfLoop: {
+      const vid_t u = random_vertex(rng, g.n());
+      g.insert_sorted(u, u);
+      return;
+    }
+    case Corruption::kDuplicateColumn: {
+      const vid_t u = vertex_with_degree(rng, g, 1);
+      const eid_t k = random_slot(rng, g, u);
+      g.insert(u, k + 1, g.cols[k]);
+      return;
+    }
+    case Corruption::kSwapColumns: {
+      const vid_t u = vertex_with_degree(rng, g, 2);
+      const eid_t k = g.begin(u) + rng.bounded(g.end(u) - g.begin(u) - 1);
+      std::swap(g.cols[k], g.cols[k + 1]);
+      return;
+    }
+    case Corruption::kShiftOffset: {
+      // One interior offset moves by one arc either way: two rows swap
+      // an entry, or (at a row boundary) the offsets stop being monotone.
+      const std::size_t i = 1 + rng.bounded(g.rows.size() - 2);
+      if (rng.bounded(2) == 0) {
+        ++g.rows[i];
+      } else {
+        --g.rows[i];
+      }
+      return;
+    }
+  }
+}
+
+const CsrCheckOptions kOptionSets[] = {
+    {},
+    {.require_sorted = false},
+    {.require_unique = false},
+    {.require_symmetric = false},
+    {.allow_self_loops = true},
+};
+
+void expect_matches_reference(const RawCsr& g, const std::string& what,
+                              std::span<const CsrCheckOptions> option_sets =
+                                  kOptionSets) {
+  for (const CsrCheckOptions& opts : option_sets) {
+    const auto got = validate_csr(g.rows, g.cols, opts);
+    const auto want = reference_validate(g.rows, g.cols, opts);
+    EXPECT_EQ(describe(got), describe(want))
+        << what << " sorted=" << opts.require_sorted
+        << " unique=" << opts.require_unique
+        << " symmetric=" << opts.require_symmetric
+        << " self_loops=" << opts.allow_self_loops;
+  }
+}
+
+TEST(ValidateCsrOracle, EveryCorruptionMatchesTheReverseRowSearch) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const vid_t n = narrow<vid_t>(40 + 10 * seed);
+    const Csr base = make_erdos_renyi_gnm(n, 4 * eid_t{n}, seed);
+    for (const Corruption kind : kCorruptions) {
+      Xoshiro256ss rng(seed * 131 + static_cast<std::uint64_t>(kind));
+      RawCsr g(base);
+      corrupt(g, kind, rng);
+      expect_matches_reference(
+          g, "seed=" + std::to_string(seed) +
+                 " corruption=" + std::to_string(static_cast<int>(kind)));
+    }
+  }
+}
+
+TEST(ValidateCsrOracle, SuiteGraphsMatchUnderEveryCorruption) {
+  for (const char* name : {"kron-like", "road-like", "citation-like"}) {
+    const Csr base = make_suite_graph(name, {.scale = 0.01, .seed = 3}).graph;
+    ASSERT_FALSE(validate_csr(base).has_value()) << name;
+    for (const Corruption kind : kCorruptions) {
+      Xoshiro256ss rng(7 + static_cast<std::uint64_t>(kind));
+      RawCsr g(base);
+      corrupt(g, kind, rng);
+      expect_matches_reference(g, std::string(name) + " corruption=" +
+                                      std::to_string(static_cast<int>(kind)));
+    }
+  }
+}
+
+TEST(ValidateCsrOracle, HubRowWiderThan16Bits) {
+  // A hub row of 70000 arcs. With the hub first they are all upper arcs;
+  // with the hub last they are all lower arcs, so its claimed-entry count
+  // passes 2^16. Every option set but require_sorted = false, whose
+  // linear find over the hub row costs ~2.5e9 compares here.
+  const CsrCheckOptions sorted_sets[] = {
+      {},
+      {.require_unique = false},
+      {.require_symmetric = false},
+      {.allow_self_loops = true},
+  };
+  constexpr vid_t kLeaves = 70000;
+  std::vector<eid_t> rows;
+  std::vector<vid_t> cols;
+  for (vid_t v = 0; v < kLeaves; ++v) {
+    rows.push_back(v);
+    cols.push_back(kLeaves);
+  }
+  rows.push_back(kLeaves);
+  for (vid_t v = 0; v < kLeaves; ++v) cols.push_back(v);
+  rows.push_back(2 * eid_t{kLeaves});
+  const Csr hub_first = make_star(kLeaves);
+  const Csr hub_last(std::move(rows), std::move(cols));
+
+  for (const vid_t hub : {vid_t{0}, kLeaves}) {
+    const Csr& star = hub == 0 ? hub_first : hub_last;
+    const std::string what = "hub " + std::to_string(hub);
+    ASSERT_EQ(star.degree(hub), kLeaves) << what;
+    const RawCsr ok(star);
+    EXPECT_FALSE(validate_csr(ok.rows, ok.cols).has_value()) << what;
+    expect_matches_reference(ok, what, sorted_sets);
+
+    // Drop the hub's arc to its last leaf: that leaf's arc to the hub is
+    // the first arc without a reverse.
+    RawCsr last(star);
+    const vid_t leaf = last.cols[last.end(hub) - 1];
+    last.erase(hub, last.end(hub) - 1);
+    const auto issue = validate_csr(last.rows, last.cols);
+    ASSERT_TRUE(issue.has_value()) << what;
+    EXPECT_EQ(issue->defect, CsrDefect::kAsymmetricEdge) << what;
+    EXPECT_EQ(issue->row, leaf) << what;
+    EXPECT_EQ(issue->value, hub) << what;
+    expect_matches_reference(last, what + " minus its last arc", sorted_sets);
+
+    // Drop a leaf's only arc: the hub's arc to it is now one-way.
+    RawCsr one_way(star);
+    one_way.erase(66000, one_way.begin(66000));
+    expect_matches_reference(one_way, what + " minus one leaf arc",
+                             sorted_sets);
+  }
+}
+
+TEST(ValidateCsrOracle, AllowedSelfLoopIsItsOwnMate) {
+  RawCsr g(make_cycle(6));
+  g.insert_sorted(3, 3);
+  EXPECT_EQ(describe(validate_csr(g.rows, g.cols)),
+            "self_loop row=3 value=3 index=7");
+  EXPECT_FALSE(
+      validate_csr(g.rows, g.cols, {.allow_self_loops = true}).has_value());
+  expect_matches_reference(g, "cycle with one self loop");
 }
 
 }  // namespace

@@ -1,10 +1,18 @@
 #include "svc/graph_registry.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -212,6 +220,159 @@ TEST(Registry, ClearDropsResidency) {
   EXPECT_EQ(reg.stats().entries, 0u);
   bool hit = true;
   reg.acquire(kTiny, &hit);
+  EXPECT_FALSE(hit);
+}
+
+// ---- Validation at load time, eviction before it -----------------------
+
+/// Three vertices whose arc 0->2 has no mate 2->0.
+Csr asymmetric_graph() { return Csr({0, 2, 4, 5}, {1, 2, 0, 2, 1}); }
+
+/// A named pipe posing as a .gbin file. A load from it blocks until the
+/// test feeds it a graph, which holds that load in flight on demand.
+class GraphPipe {
+ public:
+  explicit GraphPipe(const std::string& name)
+      : path_(std::string(::testing::TempDir()) + "/" + name) {
+    std::remove(path_.c_str());
+    if (::mkfifo(path_.c_str(), 0600) != 0) {
+      throw std::runtime_error("mkfifo failed: " + path_);
+    }
+  }
+  ~GraphPipe() { std::remove(path_.c_str()); }
+  GraphPipe(const GraphPipe&) = delete;
+  GraphPipe& operator=(const GraphPipe&) = delete;
+
+  const std::string& path() const { return path_; }
+
+  /// Writes `g` as a v1 .gbin stream (v2 needs a seekable file) to the
+  /// reader blocked on the pipe. False if no reader opens it within 10 s.
+  bool feed(const Csr& g) const {
+    std::ostringstream bytes;
+    save_binary(bytes, g);
+    const std::string data = bytes.str();
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(10);
+    int fd = -1;
+    while ((fd = ::open(path_.c_str(), O_WRONLY | O_NONBLOCK)) < 0) {
+      if (errno != ENXIO || std::chrono::steady_clock::now() > deadline) {
+        return false;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ::fcntl(fd, F_SETFL, 0);  // blocking writes from here on
+    std::size_t done = 0;
+    while (done < data.size()) {
+      const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+      if (n <= 0) break;
+      done += to_unsigned(n);
+    }
+    ::close(fd);
+    return done == data.size();
+  }
+
+ private:
+  std::string path_;
+};
+
+/// Polls until `done(reg.stats())` holds; false after 10 s.
+template <class Pred>
+bool wait_for_stats(const GraphRegistry& reg, Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done(reg.stats())) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+GraphRegistry::Options pipe_options() {
+  GraphRegistry::Options opts;
+  opts.mmap_store = false;  // a pipe can be neither sniffed nor mapped
+  return opts;
+}
+
+TEST(Registry, ConcurrentAcquiresShareOneFailedLoad) {
+  GraphRegistry reg(pipe_options());
+  const GraphPipe pipe("gcg_reg_shared_fail.gbin");
+  constexpr std::size_t kThreads = 8;
+  // Every waiter rethrows the one exception object the loader stored.
+  // Its reference count lives in the uninstrumented C++ runtime, so the
+  // threads only keep a reference and the checks read it after join():
+  // that way TSan sees the object freed after every read.
+  std::vector<std::exception_ptr> errors(kThreads);
+  std::vector<std::thread> team;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    team.emplace_back([&, t] {
+      try {
+        reg.acquire(pipe.path());
+      } catch (...) {
+        errors[t] = std::current_exception();
+      }
+    });
+  }
+  // The load cannot finish before it is fed, so every thread joins it.
+  EXPECT_TRUE(wait_for_stats(reg, [](const GraphRegistry::Stats& s) {
+    return s.misses == 1 && s.hits == kThreads - 1;
+  }));
+  EXPECT_TRUE(pipe.feed(asymmetric_graph()));
+  for (auto& th : team) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(errors[t]) << "thread " << t << " got a graph";
+    try {
+      std::rethrow_exception(errors[t]);
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("asymmetric_edge"),
+                std::string::npos)
+          << "thread " << t << ": " << e.what();
+    }
+  }
+  const auto s = reg.stats();
+  EXPECT_EQ(s.misses, 1u) << "exactly one thread should have loaded";
+  EXPECT_EQ(s.load_errors, 1u);
+  EXPECT_EQ(s.entries, 0u);
+}
+
+TEST(Registry, LoadMakesRoomOnceTheGraphIsOpenBeforeValidating) {
+  GraphRegistry::Options opts = pipe_options();
+  opts.max_entries = 2;
+  GraphRegistry reg(opts);
+  const std::string a = "gen:ecology-like?scale=0.02&seed=1";
+  const std::string b = "gen:ecology-like?scale=0.02&seed=2";
+  reg.acquire(a);
+  reg.acquire(b);
+
+  // A load that cannot open its graph evicts nothing.
+  EXPECT_THROW(reg.acquire("/nonexistent/graph.mtx"), std::runtime_error);
+  EXPECT_EQ(reg.stats().evictions, 0u);
+
+  // While the graph is still being read, the cache is untouched.
+  const GraphPipe pipe("gcg_reg_evict_first.gbin");
+  std::string error;
+  std::thread loader([&] {
+    try {
+      reg.acquire(pipe.path());
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  });
+  EXPECT_TRUE(wait_for_stats(
+      reg, [](const GraphRegistry::Stats& s) { return s.misses == 4; }));
+  EXPECT_EQ(reg.stats().entries, 2u);
+  EXPECT_EQ(reg.stats().evictions, 0u);
+  EXPECT_TRUE(pipe.feed(asymmetric_graph()));
+  loader.join();
+  EXPECT_NE(error.find("asymmetric_edge"), std::string::npos) << error;
+
+  // The graph was read, so room was made before validation failed: the
+  // cold entry, and only it, is gone.
+  EXPECT_EQ(reg.stats().evictions, 1u);
+  EXPECT_EQ(reg.stats().entries, 1u);
+  bool hit = false;
+  reg.acquire(b, &hit);
+  EXPECT_TRUE(hit);
+  reg.acquire(a, &hit);
   EXPECT_FALSE(hit);
 }
 

@@ -14,12 +14,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "check/coloring.hpp"
+#include "store/writer.hpp"
 #include "svc/client.hpp"
 #include "svc/graph_registry.hpp"
 #include "svc/protocol.hpp"
@@ -260,6 +262,42 @@ TEST(ServerE2E, FullWidthSeedSurvivesTheWire) {
   ASSERT_NE(reply.find("result"), nullptr);
   EXPECT_TRUE(reply.find("result")->get_bool("verified", false));
   server.stop();
+}
+
+TEST(ServerE2E, InvalidGraphFailsOneJobAndTheServerKeepsAnswering) {
+  // A packed graph whose arc 0->2 has no mate 2->0.
+  const std::string bad =
+      std::string(::testing::TempDir()) + "/gcg_e2e_asym.gbin";
+  store::write_gbin_v2(bad, Csr({0, 2, 4, 5}, {1, 2, 0, 2, 1}));
+  Server server(small_server(unique_socket_path("invalid")));
+  Client client(server.socket_path());
+
+  JobSpec spec;
+  spec.graph = bad;
+  Json reply = client.submit(spec, /*wait=*/true);
+  ASSERT_TRUE(reply.get_bool("ok", false)) << reply.dump();
+  EXPECT_EQ(reply.get_string("status", ""), "failed");
+  ASSERT_NE(reply.find("result"), nullptr) << reply.dump();
+  const std::string error = reply.find("result")->get_string("error", "");
+  EXPECT_NE(error.find("invalid_graph"), std::string::npos) << error;
+  EXPECT_NE(error.find("asymmetric_edge"), std::string::npos) << error;
+
+  // The same connection still colors a valid graph and answers.
+  spec.graph = kGraphs[0];
+  reply = client.submit(spec, /*wait=*/true);
+  ASSERT_TRUE(reply.get_bool("ok", false)) << reply.dump();
+  EXPECT_EQ(reply.get_string("status", ""), "done");
+  ASSERT_NE(reply.find("result"), nullptr);
+  EXPECT_TRUE(reply.find("result")->get_bool("verified", false));
+  EXPECT_TRUE(client.ping());
+
+  const Json stats = client.stats();
+  EXPECT_EQ(stats.get_int("failed", 0), 1);
+  EXPECT_EQ(stats.get_int("completed", 0), 1);
+  ASSERT_NE(stats.find("registry"), nullptr) << stats.dump();
+  EXPECT_EQ(stats.find("registry")->get_int("load_errors", 0), 1);
+  server.stop();
+  std::remove(bad.c_str());
 }
 
 TEST(ServerE2E, MalformedLineYieldsProtocolError) {

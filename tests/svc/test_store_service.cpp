@@ -43,6 +43,13 @@ ScopedFile packed_graph(const std::string& name, std::uint64_t seed = 5) {
   return f;
 }
 
+/// A mapped .gbin v2 file whose arc 0->2 has no mate 2->0.
+ScopedFile asymmetric_packed_graph(const std::string& name) {
+  ScopedFile f(temp_path(name));
+  store::write_gbin_v2(f.path(), Csr({0, 2, 4, 5}, {1, 2, 0, 2, 1}));
+  return f;
+}
+
 TEST(StoreRegistry, ServesGbin2AsMappedView) {
   const ScopedFile f = packed_graph("reg_mapped.gbin");
   GraphRegistry reg;
@@ -118,6 +125,46 @@ TEST(StoreRegistry, MappedPoolDoesNotEvictHeapEntries) {
   bool hit = false;
   (void)reg.acquire("gen:ecology-like?scale=0.02&seed=1", &hit);
   EXPECT_TRUE(hit);
+}
+
+TEST(StoreRegistry, InvalidMappedGraphIsANotCachedLoadError) {
+  const ScopedFile f = asymmetric_packed_graph("reg_asym.gbin");
+  GraphRegistry reg;
+  for (std::uint64_t attempt = 1; attempt <= 2; ++attempt) {
+    bool hit = true;
+    try {
+      reg.acquire(f.path(), &hit);
+      ADD_FAILURE() << "an asymmetric graph must not load";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid_graph: asymmetric_edge"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(hit) << "attempt " << attempt << " must be a miss";
+    const GraphRegistry::Stats s = reg.stats();
+    EXPECT_EQ(s.misses, attempt);
+    EXPECT_EQ(s.load_errors, attempt);
+    EXPECT_EQ(s.entries, 0u);
+    EXPECT_EQ(s.mapped_bytes, 0u);
+  }
+}
+
+TEST(StoreRegistry, FailedMappedLoadHasAlreadyEvicted) {
+  const ScopedFile a = packed_graph("reg_full_a.gbin", 5);
+  const ScopedFile b = packed_graph("reg_full_b.gbin", 6);
+  const ScopedFile bad = asymmetric_packed_graph("reg_full_bad.gbin");
+  GraphRegistry::Options opts;
+  opts.max_entries = 2;
+  GraphRegistry reg(opts);
+  reg.acquire(a.path());
+  reg.acquire(b.path());
+  EXPECT_THROW(reg.acquire(bad.path()), std::runtime_error);
+  const GraphRegistry::Stats s = reg.stats();
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.mapped_entries, 1u);
+  bool hit = false;
+  reg.acquire(b.path(), &hit);
+  EXPECT_TRUE(hit) << "only the coldest entry made room";
 }
 
 TEST(StoreScheduler, ColorsPackedGraphZeroCopyEndToEnd) {
