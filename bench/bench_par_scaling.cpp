@@ -6,10 +6,6 @@
 //   bench_par_scaling [--scale S] [--seed N] [--graphs a,b,c]
 //                     [--threads 1,2,4,8] [--repeats 3]
 //                     [--priority natural|random|degree-biased]
-//                     [--out BENCH_par_scaling.json]
-//
-// Emits a machine-readable JSON document next to the ASCII table so CI
-// can diff runs (same shape as BENCH_par.json / BENCH_shard.json).
 //
 // Default priorities are natural-order: Jones–Plassmann selection then
 // reproduces sequential greedy exactly, so the colors/seq_colors parity
@@ -17,7 +13,6 @@
 // paper's hashed priorities instead (shorter dependency chains, more
 // colors on structured graphs).
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -53,12 +48,11 @@ int main(int argc, char** argv) {
   using namespace gcg;
   using namespace gcg::bench;
   const BenchEnv env = parse_env(argc, argv, "par_scaling",
-                                 {"threads", "repeats", "priority", "out"});
+                                 {"threads", "repeats", "priority"});
   const Cli cli(argc, argv);
   const auto threads = thread_sweep(cli);
   const int repeats = static_cast<int>(cli.get_int("repeats", 3));
   const std::string prio_name = cli.get("priority", "natural");
-  const std::string out_path = cli.get("out", "BENCH_par_scaling.json");
   bool prio_known = false;
   PriorityMode priority = PriorityMode::kNaturalOrder;
   for (PriorityMode m : {PriorityMode::kRandom, PriorityMode::kDegreeBiased,
@@ -80,8 +74,6 @@ int main(int argc, char** argv) {
                "worker_imbalance", "steal_hits", "colors", "seq_colors"});
   table.title("Native multicore scaling (speedup vs 1-thread par run)");
 
-  std::ostringstream records;
-  bool first = true;
   for (const SuiteEntry& entry : load_graphs(env)) {
     const SeqColoring seq = greedy_color(entry.graph);
     for (par::ParAlgorithm algo : par::all_par_algorithms()) {
@@ -114,35 +106,9 @@ int main(int argc, char** argv) {
                        static_cast<std::int64_t>(run.steal.steal_hits),
                        static_cast<std::int64_t>(run.num_colors),
                        static_cast<std::int64_t>(seq.num_colors)});
-
-        if (!first) records << ",\n";
-        first = false;
-        records << "    {\"graph\": \"" << entry.name
-                << "\", \"algorithm\": \"" << par_algorithm_name(algo)
-                << "\", \"threads\": " << t << ",\n     \"wall_ms\": " << best
-                << ", \"speedup\": " << speedup(base_ms, best)
-                << ", \"busy_max_over_mean\": "
-                << run.imbalance.cu_max_over_mean
-                << ",\n     \"steal_hits\": " << run.steal.steal_hits
-                << ", \"colors\": " << run.num_colors
-                << ", \"seq_colors\": " << seq.num_colors << "}";
       }
     }
   }
   table.print(std::cout);
-
-  std::ostringstream doc;
-  doc << "{\n  \"experiment\": \"par_scaling\",\n  \"scale\": "
-      << env.suite.scale << ",\n  \"seed\": " << env.seed
-      << ",\n  \"repeats\": " << repeats << ",\n  \"priority\": \""
-      << priority_mode_name(priority) << "\",\n  \"records\": [\n"
-      << records.str() << "\n  ]\n}\n";
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << doc.str();
-    std::cerr << "wrote " << out_path << '\n';
-  } else {
-    std::cout << doc.str();
-  }
   return 0;
 }

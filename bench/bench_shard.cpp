@@ -5,18 +5,13 @@
 // same hub vertices that imbalance a GPU workgroup also fatten the cut
 // between shards.
 //
-// Emits a machine-readable JSON document (BENCH_shard.json) so CI can
-// diff runs, plus the usual ASCII table.
-//
 //   bench_shard [--scale 0.3] [--seed 1] [--graphs kron-like,er-like]
 //               [--shards 1,2,4,8] [--workers 2] [--rounds 16]
-//               [--out BENCH_shard.json]
 //
 // The fleet runs in-process (WorkerServer threads on real sockets):
 // bench binaries do not sit next to shard_worker, and the protocol cost
 // is identical either way — only the address space differs.
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -60,7 +55,6 @@ int main(int argc, char** argv) {
       parse_shard_list(cli.get("shards", "1,2,4,8"));
   const unsigned workers = static_cast<unsigned>(cli.get_int("workers", 2));
   const unsigned rounds = static_cast<unsigned>(cli.get_int("rounds", 16));
-  const std::string out_path = cli.get("out", "BENCH_shard.json");
 
   shard::CoordinatorOptions copts;
   copts.workers = workers;
@@ -73,8 +67,6 @@ int main(int argc, char** argv) {
            "recolored", "colors", "par colors", "wall ms", "par ms"});
   t.title("sharded coloring: shards x boundary fraction sweep");
 
-  std::ostringstream records;
-  bool first = true;
   std::size_t pos = 0;
   while (pos <= graphs_csv.size()) {
     auto comma = graphs_csv.find(',', pos);
@@ -119,38 +111,9 @@ int main(int argc, char** argv) {
                  static_cast<std::int64_t>(st.num_colors),
                  static_cast<std::int64_t>(base.num_colors), st.wall_ms,
                  base.wall_ms});
-
-      if (!first) records << ",\n";
-      first = false;
-      records << "    {\"graph\": \"" << name << "\", \"shards\": "
-              << st.shards << ", \"workers\": " << st.workers
-              << ",\n     \"boundary_fraction\": " << st.boundary_fraction
-              << ", \"boundary_vertices\": " << st.boundary_vertices
-              << ", \"cut_arcs\": " << st.cut_arcs
-              << ",\n     \"conflict_rounds\": " << st.conflict_rounds
-              << ", \"recolored\": " << st.recolored
-              << ", \"fallback_recolored\": " << st.fallback_recolored
-              << ",\n     \"colors\": " << st.num_colors
-              << ", \"par_colors\": " << base.num_colors
-              << ", \"phase1_ms\": " << st.phase1_ms
-              << ", \"wall_ms\": " << st.wall_ms
-              << ", \"par_wall_ms\": " << base.wall_ms << "}";
     }
   }
 
   t.print(std::cout);
-
-  std::ostringstream doc;
-  doc << "{\n  \"experiment\": \"shard\",\n  \"scale\": " << scale
-      << ",\n  \"seed\": " << seed << ",\n  \"workers\": " << workers
-      << ",\n  \"max_rounds\": " << rounds << ",\n  \"records\": [\n"
-      << records.str() << "\n  ]\n}\n";
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << doc.str();
-    std::cerr << "wrote " << out_path << '\n';
-  } else {
-    std::cout << doc.str();
-  }
   return 0;
 }

@@ -1,7 +1,7 @@
 // Store cold-start / steady-state benchmark: how long until a graph is
 // servable from each on-disk representation, and what (if anything) the
-// mmap view costs at coloring time. Emits a machine-readable JSON
-// document (BENCH_store.json trajectory) so CI can diff runs.
+// mmap view costs at coloring time. Prints two tables (ASCII + CSV):
+// load time per path, and the steady-state coloring comparison.
 //
 // Load paths compared, same graph each time:
 //   parse_mtx            text parse + build            O(file) CPU-bound
@@ -15,9 +15,8 @@
 // same work) on the heap copy vs the mapped view.
 //
 //   bench_store_load [--scale 0.4] [--seed 1] [--graph kron-like]
-//                    [--threads 2] [--repeats 3] [--out BENCH_store.json]
+//                    [--threads 2] [--repeats 3]
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -33,9 +32,9 @@ namespace {
 
 using namespace gcg;
 
-std::size_t file_bytes(const std::string& path) {
+std::int64_t file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
-  return in ? static_cast<std::size_t>(in.tellg()) : 0;
+  return in ? static_cast<std::int64_t>(in.tellg()) : 0;
 }
 
 double color_ms(const Csr& g, unsigned threads, std::uint64_t seed) {
@@ -56,7 +55,6 @@ int main(int argc, char** argv) {
   const std::string name = cli.get("graph", "kron-like");
   const unsigned threads = static_cast<unsigned>(cli.get_int("threads", 2));
   const int repeats = static_cast<int>(cli.get_int("repeats", 3));
-  const std::string out_path = cli.get("out", "");
 
   const Csr g =
       make_suite_graph(name, {.scale = scale, .seed = seed}).graph;
@@ -111,42 +109,26 @@ int main(int argc, char** argv) {
     return best;
   }();
 
-  char buf[2048];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\n"
-      "  \"experiment\": \"store_load\",\n"
-      "  \"graph\": {\"name\": \"%s\", \"scale\": %g, \"seed\": %llu,\n"
-      "            \"vertices\": %llu, \"arcs\": %llu},\n"
-      "  \"file_bytes\": {\"mtx\": %zu, \"v1\": %zu, \"v2\": %zu},\n"
-      "  \"load_ms\": {\n"
-      "    \"parse_mtx\": %.3f,\n"
-      "    \"v1_heap\": %.3f,\n"
-      "    \"v2_heap\": %.3f,\n"
-      "    \"v2_mmap_first_open\": %.4f,\n"
-      "    \"v2_mmap_second_open\": %.4f,\n"
-      "    \"v2_mmap_warmup\": %.3f\n"
-      "  },\n"
-      "  \"steady_state\": {\"algorithm\": \"jpl\", \"threads\": %u,\n"
-      "                   \"repeats\": %d, \"heap_color_ms\": %.3f,\n"
-      "                   \"mapped_color_ms\": %.3f},\n"
-      "  \"mapped\": %s,\n"
-      "  \"residency_after_warmup\": %.3f\n"
-      "}\n",
-      name.c_str(), scale, static_cast<unsigned long long>(seed),
-      static_cast<unsigned long long>(g.num_vertices()),
-      static_cast<unsigned long long>(g.num_arcs()), file_bytes(mtx),
-      file_bytes(v1), file_bytes(v2), parse_ms, v1_ms, v2_heap_ms,
-      mmap_first_ms, mmap_second_ms, warmup_ms, threads, repeats,
-      heap_color_ms, mapped_color_ms, mg->is_mapped() ? "true" : "false",
-      residency);
+  std::cout << "# experiment: store_load\n";
+  Table load({"path", "ms", "file_bytes"});
+  load.precision(4).title("store load: " + name + ", " +
+                          std::to_string(g.num_vertices()) + " vertices, " +
+                          std::to_string(g.num_arcs()) + " arcs");
+  load.add_row({"parse_mtx", parse_ms, file_bytes(mtx)});
+  load.add_row({"v1_heap", v1_ms, file_bytes(v1)});
+  load.add_row({"v2_heap", v2_heap_ms, file_bytes(v2)});
+  load.add_row({"v2_mmap_first_open", mmap_first_ms, file_bytes(v2)});
+  load.add_row({"v2_mmap_second_open", mmap_second_ms, file_bytes(v2)});
+  load.add_row({"v2_mmap_warmup", warmup_ms, file_bytes(v2)});
+  load.print(std::cout);
 
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << buf;
-    std::cerr << "wrote " << out_path << '\n';
-  }
-  std::cout << buf;
+  Table steady({"algorithm", "threads", "repeats", "heap_color_ms",
+                "mapped_color_ms", "mapped", "residency_after_warmup"});
+  steady.title("steady state: heap copy vs mapped view");
+  steady.add_row({"jpl", static_cast<std::int64_t>(threads),
+                  static_cast<std::int64_t>(repeats), heap_color_ms,
+                  mapped_color_ms, mg->is_mapped() ? "yes" : "no", residency});
+  steady.print(std::cout);
 
   std::filesystem::remove_all(dir);
   return 0;

@@ -11,8 +11,6 @@
 //   ./examples/color_tool graph.mtx [--backend sim|par|shard]
 //                                   [--algorithm hybrid+steal]
 //                                   [--threads N]   (par backend)
-//                                   [--grain N] [--schedule vertex|edge]
-//                                   [--hub-threshold N]   (par scheduling)
 //                                   [--shards 4] [--workers 2]
 //                                   [--rounds 16] [--in-process]
 //                                                   (shard backend)
@@ -89,11 +87,6 @@ int run_par(const gcg::Cli& cli, const gcg::Csr& g) {
   par::ParOptions opts;
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   opts.threads = static_cast<unsigned>(cli.get_int("threads", 0));
-  opts.grain = static_cast<std::uint32_t>(cli.get_int("grain", opts.grain));
-  opts.schedule = par::schedule_from_name(
-      cli.get("schedule", par::schedule_name(opts.schedule)));
-  opts.hub_degree_threshold = static_cast<std::uint32_t>(
-      cli.get_int("hub-threshold", opts.hub_degree_threshold));
   // The runner owns the reorder pipeline (color relabeled, unmap back),
   // so run.colors below are already in this graph's vertex ids.
   opts.order = order_from_name(cli.get("order", "natural"));

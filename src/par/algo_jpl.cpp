@@ -14,7 +14,7 @@ namespace gcg::par::detail {
 void run_jpl(DriverState& st) {
   const vid_t n = st.g.num_vertices();
   if (n == 0) return;
-  const SchedulePlan plan = make_plan(st.g, st.opts, st.pool.size());
+  const SchedulePlan plan = make_plan(st.g, st.pool.size());
   FrontierExec frontier(st, plan);
   FirstTouchArray<std::uint8_t> wins(st.pool, n, std::uint8_t{0});
   // Each worker constructs (first-touches) its own scratch so forbidden

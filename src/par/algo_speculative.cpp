@@ -19,7 +19,7 @@ namespace gcg::par::detail {
 void run_speculative(DriverState& st) {
   const vid_t n = st.g.num_vertices();
   if (n == 0) return;
-  const SchedulePlan plan = make_plan(st.g, st.opts, st.pool.size());
+  const SchedulePlan plan = make_plan(st.g, st.pool.size());
   FrontierExec frontier(st, plan);
   // Each worker constructs (first-touches) its own scratch so forbidden
   // masks live on the worker's node; the barrier publishes the pointers.

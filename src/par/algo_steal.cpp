@@ -29,7 +29,7 @@ namespace gcg::par::detail {
 namespace {
 constexpr std::uint8_t kFlagMax = 1;
 constexpr std::uint8_t kFlagMin = 2;
-/// Frontier items per deque chunk of the stealing flag phase (`grain`
+/// Frontier items per deque chunk of the stealing flag phase (kGrain
 /// sizes the barriered commit phases).
 constexpr std::uint32_t kChunkSize = 256;
 }  // namespace
@@ -54,9 +54,9 @@ void run_steal(DriverState& st) {
   st.pool.run([&](unsigned w) {
     scratch[w] = std::make_unique<FirstFitScratch>(st.g.max_degree());
   });
-  // Commit phases are barriered parallel_fors; the flag phase's imbalance
-  // is handled by the deques, so the schedule/hub knobs don't apply here.
-  const std::uint32_t grain = std::max(st.opts.grain, 1u);
+  // Commit phases are barriered parallel_fors over kGrain-vertex chunks;
+  // the flag phase's imbalance is handled by the deques, so neither the
+  // edge-balanced split nor the hub path applies here.
   color_t palette = 0;  // colors used so far; barriers keep it exact
   std::vector<color_t> wmax(workers);
 
@@ -103,8 +103,8 @@ void run_steal(DriverState& st) {
     // Phase B1: the max set commits first-fit (independent, so the reads
     // cannot race with the writes).
     std::fill(wmax.begin(), wmax.end(), palette);
-    st.pool.parallel_for(fsize, grain, [&](std::uint32_t b, std::uint32_t e,
-                                           unsigned w) {
+    st.pool.parallel_for(fsize, kGrain, [&](std::uint32_t b, std::uint32_t e,
+                                            unsigned w) {
       BusyTimer timer(st.run.workers[w]);
       for (std::uint32_t i = b; i < e; ++i) {
         const vid_t v = frontier[i];
@@ -124,8 +124,8 @@ void run_steal(DriverState& st) {
     // cost colors without saving meaningful work, so they are skipped.
     const bool use_min = fsize * 2 >= n;
     FrontierAppender app{next};
-    st.pool.parallel_for(fsize, grain, [&](std::uint32_t b, std::uint32_t e,
-                                           unsigned w) {
+    st.pool.parallel_for(fsize, kGrain, [&](std::uint32_t b, std::uint32_t e,
+                                            unsigned w) {
       BusyTimer timer(st.run.workers[w]);
       std::vector<vid_t> survivors;
       for (std::uint32_t i = b; i < e; ++i) {

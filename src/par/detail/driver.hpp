@@ -22,6 +22,12 @@ namespace gcg::par::detail {
 /// per-call-cleared bitset to the stamped fallback (see below).
 inline constexpr std::size_t kFirstFitBitsetCap = 4096;
 
+/// Target vertices per scheduler chunk in every barriered vertex-parallel
+/// phase: steal's commit phases, and the frontier phases of
+/// speculative/jpl, where it sets the chunk count and the edge-balanced
+/// split then moves the boundaries (FrontierExec::edge_grain).
+inline constexpr std::uint32_t kGrain = 512;
+
 struct DriverState {
   DriverState(ThreadPool& p, const Csr& graph, const ParOptions& options,
               ParAlgorithm algorithm)

@@ -1,15 +1,17 @@
 // Degree-aware frontier execution for the vertex-parallel algorithms
-// (speculative, jpl): edge-balanced or vertex-count chunking off the
-// ParOptions schedule, a cooperative whole-team path for hub vertices,
-// and an adaptive dense/sparse frontier representation. Internal header.
+// (speculative, jpl), under one fixed policy chosen from the input rather
+// than from options: edge-balanced chunks (kGrain vertices' worth of
+// edges each), a cooperative whole-team path for hub vertices above the
+// auto threshold, and an adaptive dense/sparse frontier representation.
+// Internal header.
 //
 // Determinism contract: none of the machinery here may change what an
 // algorithm computes, only how the work is divided. The frontier switches
-// representation (bitmap vs compacted worklist) and partitioning (vertex
-// vs edge-balanced) freely because the algorithms' phases are
-// order-independent within a phase; the cooperative hub reductions
-// (OR-mask first-fit, exists-scan) are commutative, so a hub's result is
-// identical to the per-worker path's.
+// representation (bitmap vs compacted worklist) and chunk boundaries
+// freely because the algorithms' phases are order-independent within a
+// phase; the cooperative hub reductions (OR-mask first-fit, exists-scan)
+// are commutative, so a hub's result is identical to the per-worker
+// path's.
 #pragma once
 
 #include <atomic>  // std::memory_order (order args keep their std:: spelling)
@@ -23,17 +25,21 @@
 
 namespace gcg::par::detail {
 
-/// Scheduling parameters resolved once per run from ParOptions + graph.
+/// Scheduling parameters resolved once per run from the graph and the
+/// team size.
 struct SchedulePlan {
-  Schedule schedule = Schedule::kEdgeBalanced;
-  std::uint32_t grain = 512;     ///< target vertices per chunk
   vid_t hub_threshold = 0;       ///< degree above which a vertex is a hub
   bool hubs = false;             ///< hub path active this run
   std::uint32_t dense_min = 1;   ///< frontier size at/above which the
                                  ///< dense (bitmap) representation is used
 };
 
-SchedulePlan make_plan(const Csr& g, const ParOptions& opts, unsigned workers);
+/// Hubs are vertices of degree above max(2048, 16 * avg_degree): far above
+/// the typical degree, so only the stragglers that would pin one worker
+/// for a whole phase go cooperative. The hub path needs a team, so it is
+/// off on one thread (which also keeps 1-thread speculative identical to
+/// sequential greedy).
+SchedulePlan make_plan(const Csr& g, unsigned workers);
 
 /// Neighbours per slice when the team cooperates on one hub's adjacency.
 inline constexpr std::uint32_t kHubSliceGrain = 2048;
@@ -120,8 +126,8 @@ bool coop_exists(DriverState& st, vid_t v, Pred&& pred) {
 }
 
 /// The frontier of an iterative vertex-parallel coloring, split into a
-/// normal part (per-worker parallel processing under the configured
-/// schedule) and a hub part (cooperative, one vertex at a time).
+/// normal part (per-worker parallel processing in edge-balanced chunks)
+/// and a hub part (cooperative, one vertex at a time).
 ///
 /// Representation adapts to density: while the normal frontier holds at
 /// least `dense_min` vertices it is an iteration-stamped bitmap over all
@@ -247,42 +253,34 @@ class FrontierExec {
     ++round_;
     wsize_ = new_size;
     if (dense_ && wsize_ < plan_.dense_min) compact();
-    if (!dense_ && plan_.schedule == Schedule::kEdgeBalanced) refresh_prefix();
+    if (!dense_) refresh_prefix();
   }
 
  private:
-  /// Runs chunk_fn(begin, end, worker) over the active index space with
-  /// the configured schedule. Dense mode ranges over vertex ids and uses
-  /// the CSR row offsets as the degree prefix; sparse mode ranges over
+  /// Runs chunk_fn(begin, end, worker) over the active index space in
+  /// edge-balanced chunks. Dense mode ranges over vertex ids and uses the
+  /// CSR row offsets as the degree prefix; sparse mode ranges over
   /// worklist positions with a per-round prefix.
   template <class ChunkFn>
   void dispatch(ChunkFn&& chunk_fn) {
     if (dense_) {
       const vid_t n = st_.g.num_vertices();
-      if (plan_.schedule == Schedule::kEdgeBalanced) {
-        st_.pool.parallel_for_edges(n, st_.g.row_offsets().data(),
-                                    edge_grain(st_.g.num_arcs(), n), chunk_fn);
-      } else {
-        st_.pool.parallel_for(n, plan_.grain, chunk_fn);
-      }
-    } else {
-      if (wsize_ == 0) return;
-      if (plan_.schedule == Schedule::kEdgeBalanced) {
-        st_.pool.parallel_for_edges(wsize_, prefix_.data(),
-                                    edge_grain(prefix_[wsize_], wsize_),
-                                    chunk_fn);
-      } else {
-        st_.pool.parallel_for(wsize_, plan_.grain, chunk_fn);
-      }
+      st_.pool.parallel_for_edges(n, st_.g.row_offsets().data(),
+                                  edge_grain(st_.g.num_arcs(), n), chunk_fn);
+    } else if (wsize_ > 0) {
+      st_.pool.parallel_for_edges(wsize_, prefix_.data(),
+                                  edge_grain(prefix_[wsize_], wsize_),
+                                  chunk_fn);
     }
   }
 
-  /// Edge weight per chunk that cuts `items` into the same number of
-  /// chunks the vertex schedule would produce.
-  std::uint64_t edge_grain(std::uint64_t total_weight,
-                           std::uint32_t items) const {
+  /// Edge weight per chunk that cuts `items` into as many chunks as
+  /// kGrain-vertex chunks would make, with boundaries moved so every
+  /// chunk carries a comparable number of edges.
+  static std::uint64_t edge_grain(std::uint64_t total_weight,
+                                  std::uint32_t items) {
     const std::uint64_t chunks =
-        std::max<std::uint64_t>(1, (items + plan_.grain - 1) / plan_.grain);
+        std::max<std::uint64_t>(1, (items + kGrain - 1) / kGrain);
     return std::max<std::uint64_t>(1, (total_weight + chunks - 1) / chunks);
   }
 

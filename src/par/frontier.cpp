@@ -12,10 +12,8 @@ namespace {
 constexpr double kMinAutoHubDegree = 2048.0;
 }  // namespace
 
-SchedulePlan make_plan(const Csr& g, const ParOptions& opts, unsigned workers) {
+SchedulePlan make_plan(const Csr& g, unsigned workers) {
   SchedulePlan plan;
-  plan.schedule = opts.schedule;
-  plan.grain = std::max(opts.grain, 1u);
   const vid_t n = g.num_vertices();
   if (n == 0) return plan;
   // Dense (bitmap) frontier while at least a quarter of the graph is
@@ -23,16 +21,9 @@ SchedulePlan make_plan(const Csr& g, const ParOptions& opts, unsigned workers) {
   // exchange there is no shared append cursor and the partitioner reads
   // the CSR row offsets as a free degree prefix.
   plan.dense_min = std::max<std::uint32_t>(1, n / 4);
-  std::uint32_t threshold = opts.hub_degree_threshold;
-  if (threshold == 0) {
-    // Auto: far above the typical degree, so only true stragglers — the
-    // vertices that would pin one worker for a whole phase — go
-    // cooperative.
-    threshold = narrow<std::uint32_t>(
-        std::max(kMinAutoHubDegree, 16.0 * g.avg_degree()));
-  }
-  plan.hub_threshold = threshold;
-  plan.hubs = workers > 1 && n > 0 && g.max_degree() > threshold;
+  plan.hub_threshold =
+      narrow<vid_t>(std::max(kMinAutoHubDegree, 16.0 * g.avg_degree()));
+  plan.hubs = workers > 1 && g.max_degree() > plan.hub_threshold;
   return plan;
 }
 

@@ -28,20 +28,6 @@ std::vector<ParAlgorithm> all_par_algorithms() {
   return {ParAlgorithm::kSpeculative, ParAlgorithm::kJpl, ParAlgorithm::kSteal};
 }
 
-const char* schedule_name(Schedule s) {
-  switch (s) {
-    case Schedule::kVertexChunks: return "vertex";
-    case Schedule::kEdgeBalanced: return "edge";
-  }
-  return "?";
-}
-
-Schedule schedule_from_name(const std::string& name) {
-  if (name == "vertex") return Schedule::kVertexChunks;
-  if (name == "edge") return Schedule::kEdgeBalanced;
-  throw std::invalid_argument("unknown schedule: " + name + " (vertex|edge)");
-}
-
 namespace {
 
 /// The core run on the graph exactly as given (no reordering).

@@ -34,20 +34,6 @@ const char* par_algorithm_name(ParAlgorithm a);
 ParAlgorithm par_algorithm_from_name(const std::string& name);
 std::vector<ParAlgorithm> all_par_algorithms();
 
-/// How the vertex-parallel phases of speculative/jpl divide a frontier
-/// among workers. (kSteal divides its flag phase with work-stealing
-/// deques instead; the schedule still governs its barriered commit
-/// phases' grain.)
-enum class Schedule {
-  kVertexChunks,  ///< fixed vertex-count chunks off a shared cursor — the
-                  ///< paper's baseline, degree-oblivious partitioning
-  kEdgeBalanced,  ///< chunks of ~equal cumulative degree, split points
-                  ///< binary-searched in a degree prefix sum
-};
-
-const char* schedule_name(Schedule s);
-Schedule schedule_from_name(const std::string& name);
-
 struct ParOptions {
   unsigned threads = 0;  ///< 0 = hardware concurrency
   PriorityMode priority = PriorityMode::kRandom;
@@ -65,24 +51,6 @@ struct ParOptions {
   /// changes with the order (greedy first-fit is order-dependent) but
   /// stays deterministic for a fixed (order, seed, algorithm).
   Order order = Order::kNatural;
-
-  // --- scheduling of the vertex-parallel phases (speculative / jpl) ---
-  /// Frontier partitioning policy. kEdgeBalanced keeps the chunk *count*
-  /// of kVertexChunks but moves the boundaries so every chunk carries a
-  /// comparable number of edges — the load-imbalance fix for skewed
-  /// degree distributions. Never changes any coloring, only wall time.
-  Schedule schedule = Schedule::kEdgeBalanced;
-  /// Target vertices per scheduler chunk (was a hardcoded 512). Under
-  /// kEdgeBalanced the same count of chunks is cut by cumulative degree.
-  std::uint32_t grain = 512;
-  /// Degree above which a frontier vertex leaves the per-worker path and
-  /// is processed cooperatively by the whole team (the paper's hybrid
-  /// thresholding: one hub's neighbour list is scanned in slices by all
-  /// workers with a shared reduction). 0 = auto, scaled from the average
-  /// degree; any value >= num_vertices disables the hub path. Ignored on
-  /// 1 thread (cooperation needs a team) and by kSteal (its deques
-  /// already rebalance). Never changes the jpl coloring.
-  std::uint32_t hub_degree_threshold = 0;
 
   /// Cooperative cancellation: polled by worker 0 between iterations
   /// (never mid-phase, so the color array stays phase-consistent). When it
@@ -116,7 +84,8 @@ struct ParRun {
   Order order = Order::kNatural;
   double reorder_ms = 0.0;
   /// Hub-vertex passes run cooperatively (whole team on one adjacency
-  /// list); 0 when the hub path was disabled or never triggered.
+  /// list); 0 on one thread, for kSteal, or when no vertex's degree
+  /// exceeds max(2048, 16 * avg_degree).
   std::uint64_t hub_vertices = 0;
   std::vector<ParWorkerStats> workers;
   StealStats steal;              ///< aggregate across workers (kSteal)

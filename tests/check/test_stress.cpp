@@ -1,9 +1,9 @@
 // StressSchedule: the perturbation harness must actually fire at pool
 // chunk boundaries, be deterministic in its decision stream, and — the
 // point of the exercise — leave every scheduling invariant intact: JPL
-// stays bit-identical across thread counts and schedules even when chunk
-// boundaries yield and stall at random, and speculative/steal colorings
-// stay valid.
+// stays bit-identical across thread counts, with and without the hub
+// path, even when chunk boundaries yield and stall at random, and
+// speculative/steal colorings stay valid.
 #include "check/stress.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "check/coloring.hpp"
 #include "check/csr.hpp"
 #include "graph/gen/powerlaw.hpp"
+#include "graph/gen/special.hpp"
 #include "par/pool.hpp"
 #include "par/runner.hpp"
 #include "util/stress.hpp"
@@ -65,44 +66,47 @@ TEST(StressScheduleDeathTest, SecondHarnessIsRejected) {
 
 // --- the JPL bit-identity suite, rerun under perturbation -------------------
 
-struct StressCombo {
-  unsigned threads;
-  par::Schedule schedule;
-};
-
-par::ParOptions opts_for(const StressCombo& c) {
-  par::ParOptions o;
-  o.threads = c.threads;
-  o.seed = 1;
-  o.schedule = c.schedule;
-  o.hub_degree_threshold = 32;  // keep the cooperative hub path engaged
-  return o;
-}
-
 TEST(StressSchedule, JplBitIdentityHoldsUnderPerturbation) {
-  const Csr g = make_rmat(11, 8, {}, 99);
-  ASSERT_FALSE(check::validate_csr(g).has_value());
+  // The star's center (degree 20000) and K(8, 3000)'s left vertices
+  // (degree 3000) clear the auto hub threshold, so multi-thread runs take
+  // the cooperative hub path; RMAT has no hubs and exercises the
+  // edge-balanced split alone.
+  const struct {
+    const char* name;
+    Csr graph;
+    bool has_hubs;
+  } cases[] = {
+      {"rmat", make_rmat(11, 8, {}, 99), false},
+      {"star", make_star(20'000), true},
+      {"bipartite", make_complete_bipartite(8, 3000), true},
+  };
+  for (const auto& tc : cases) {
+    ASSERT_FALSE(check::validate_csr(tc.graph).has_value()) << tc.name;
+    par::ParOptions opts;
+    opts.seed = 1;
 
-  // Unperturbed, most conservative configuration as the reference.
-  const par::ParRun ref = par::run_par_coloring(
-      g, par::ParAlgorithm::kJpl,
-      opts_for({1u, par::Schedule::kVertexChunks}));
-  ASSERT_FALSE(check::verify_coloring(g, ref.colors).has_value());
+    // Unperturbed single-thread run (hub path off) as the reference.
+    opts.threads = 1;
+    const par::ParRun ref =
+        par::run_par_coloring(tc.graph, par::ParAlgorithm::kJpl, opts);
+    ASSERT_FALSE(check::verify_coloring(tc.graph, ref.colors).has_value());
+    EXPECT_EQ(ref.hub_vertices, 0u) << tc.name;
 
-  for (std::uint64_t seed : {3ull, 17ull}) {
-    check::StressSchedule stress(check::StressOptions{
-        .seed = seed, .yield_probability = 0.25, .spin_probability = 0.25});
-    for (unsigned threads : {2u, 4u}) {
-      for (par::Schedule s : {par::Schedule::kVertexChunks,
-                              par::Schedule::kEdgeBalanced}) {
-        const par::ParRun run = par::run_par_coloring(
-            g, par::ParAlgorithm::kJpl, opts_for({threads, s}));
+    for (std::uint64_t seed : {3ull, 17ull}) {
+      check::StressSchedule stress(check::StressOptions{
+          .seed = seed, .yield_probability = 0.25, .spin_probability = 0.25});
+      for (unsigned threads : {2u, 4u}) {
+        opts.threads = threads;
+        const par::ParRun run =
+            par::run_par_coloring(tc.graph, par::ParAlgorithm::kJpl, opts);
         EXPECT_EQ(run.colors, ref.colors)
-            << threads << "t/" << par::schedule_name(s) << "/seed=" << seed;
+            << tc.name << "/" << threads << "t/seed=" << seed;
         EXPECT_EQ(run.iterations, ref.iterations);
+        EXPECT_EQ(run.hub_vertices > 0, tc.has_hubs)
+            << tc.name << "/" << threads << "t/seed=" << seed;
       }
+      EXPECT_GT(stress.perturbations(), 0u) << "harness never engaged";
     }
-    EXPECT_GT(stress.perturbations(), 0u) << "harness never engaged";
   }
 }
 

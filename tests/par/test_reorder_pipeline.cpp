@@ -5,6 +5,7 @@
 // two-step (reorder by hand, color, unmap by hand) computation.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "check/coloring.hpp"
@@ -43,19 +44,39 @@ par::ParOptions opts_for(Order order, unsigned threads,
 }
 
 TEST(ReorderPipelineTest, ColorsAreValidOnTheOriginalGraph) {
-  const Csr g = make_rmat(11, 8, {}, 17);
-  for (Order order : {Order::kDegreeDescending, Order::kDegreeAscending,
-                      Order::kBfs, Order::kRcm, Order::kRandom}) {
-    for (par::ParAlgorithm algo : par::all_par_algorithms()) {
-      const par::ParRun run =
-          par::run_par_coloring(g, algo, opts_for(order, 4));
-      EXPECT_TRUE(check::is_valid_coloring(g, run.colors))
-          << order_name(order) << "/" << par_algorithm_name(algo);
-      EXPECT_EQ(run.colors.size(), g.num_vertices());
-      EXPECT_EQ(run.num_colors, count_colors(run.colors))
-          << order_name(order) << "/" << par_algorithm_name(algo);
-      EXPECT_EQ(run.order, order);
-      EXPECT_GE(run.reorder_ms, 0.0);
+  // The crash-and-validity sweep over algorithm x order x SIMD level x
+  // threads, on a power-law graph and a uniform control of matched size.
+  SimdLevelGuard guard;
+  const Csr rmat = make_rmat(11, 8, {}, 17);
+  const Csr gnm = make_erdos_renyi_gnm(rmat.num_vertices(),
+                                       rmat.num_arcs() / 2, 17);
+  const struct {
+    const char* name;
+    const Csr& graph;
+  } graphs[] = {{"rmat", rmat}, {"uniform", gnm}};
+  for (const auto& tc : graphs) {
+    for (simd::Level level : levels_to_test()) {
+      simd::force_level_for_testing(level);
+      for (Order order : {Order::kNatural, Order::kDegreeDescending,
+                          Order::kDegreeAscending, Order::kBfs, Order::kRcm,
+                          Order::kRandom}) {
+        for (par::ParAlgorithm algo : par::all_par_algorithms()) {
+          for (unsigned threads : {1u, 2u, 4u}) {
+            const par::ParRun run =
+                par::run_par_coloring(tc.graph, algo, opts_for(order, threads));
+            const std::string where =
+                std::string(tc.name) + "/" + simd::level_name(level) + "/" +
+                order_name(order) + "/" + par_algorithm_name(algo) + "/" +
+                std::to_string(threads) + "t";
+            EXPECT_TRUE(check::is_valid_coloring(tc.graph, run.colors))
+                << where;
+            EXPECT_EQ(run.colors.size(), tc.graph.num_vertices()) << where;
+            EXPECT_EQ(run.num_colors, count_colors(run.colors)) << where;
+            EXPECT_EQ(run.order, order) << where;
+            EXPECT_GE(run.reorder_ms, 0.0) << where;
+          }
+        }
+      }
     }
   }
 }

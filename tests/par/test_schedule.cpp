@@ -1,10 +1,13 @@
 // Degree-aware scheduling tests: the edge-balanced partitioner, the hub
 // cooperation path, and the bitset first-fit scratch must not change any
-// observable coloring — JPL stays bit-identical across thread counts,
-// schedules, and hub settings, and the speculative/steal algorithms stay
-// valid and complete on skewed degree distributions.
+// observable coloring — JPL stays bit-identical across thread counts with
+// the hub path on or off, and the speculative/steal algorithms stay valid
+// and complete on skewed degree distributions. The scheduling policy is
+// fixed, so hub coverage comes from the inputs: graphs whose hubs clear
+// the auto threshold max(2048, 16 * avg_degree).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "coloring/seq_greedy.hpp"
@@ -12,94 +15,76 @@
 #include "graph/gen/powerlaw.hpp"
 #include "graph/gen/random.hpp"
 #include "graph/gen/special.hpp"
-#include "par/detail/driver.hpp"
+#include "par/detail/frontier.hpp"
 #include "par/runner.hpp"
 
 namespace gcg {
 namespace {
 
-// Hub processing needs degree > threshold; these skewed generators all
-// have hubs far above kHubOn while most vertices sit well below it.
-constexpr std::uint32_t kHubOn = 32;        // forces the cooperative path
-constexpr std::uint32_t kHubOff = 0xFFFFFFFFu;  // disables it outright
+constexpr unsigned kThreadCounts[] = {1u, 2u, 8u};
 
-struct Combo {
-  unsigned threads;
-  par::Schedule schedule;
-  std::uint32_t hub_threshold;
+struct NamedGraph {
+  const char* name;
+  Csr graph;
+  bool has_hubs;  ///< some vertex clears the auto hub threshold
 };
 
-std::vector<Combo> all_combos() {
-  std::vector<Combo> out;
-  for (unsigned threads : {1u, 2u, 8u}) {
-    for (par::Schedule s :
-         {par::Schedule::kVertexChunks, par::Schedule::kEdgeBalanced}) {
-      for (std::uint32_t hub : {kHubOn, kHubOff}) {
-        out.push_back({threads, s, hub});
-      }
-    }
-  }
+// The star's center has degree 20000 and K(8, 3000)'s left side degree
+// 3000, both above the 2048 floor (their average degrees are ~2 and ~16).
+// RMAT is skewed but its largest degree stays under the floor, so it
+// covers the edge-balanced split without hubs.
+std::vector<NamedGraph> parity_graphs() {
+  std::vector<NamedGraph> out;
+  out.push_back({"star", make_star(20'000), true});
+  out.push_back({"bipartite", make_complete_bipartite(8, 3000), true});
+  out.push_back({"rmat", make_rmat(12, 8, {}, 99), false});
   return out;
 }
 
-std::string describe(const Combo& c) {
-  return std::to_string(c.threads) + "t/" + par::schedule_name(c.schedule) +
-         "/hub=" + std::to_string(c.hub_threshold);
-}
-
-par::ParOptions opts_for(const Combo& c, std::uint64_t seed = 1) {
+par::ParOptions opts_for(unsigned threads, std::uint64_t seed = 1) {
   par::ParOptions o;
-  o.threads = c.threads;
+  o.threads = threads;
   o.seed = seed;
-  o.schedule = c.schedule;
-  o.hub_degree_threshold = c.hub_threshold;
   return o;
-}
-
-// --- schedule names ---------------------------------------------------------
-
-TEST(ScheduleTest, NamesRoundTripAndRejectUnknown) {
-  for (par::Schedule s :
-       {par::Schedule::kVertexChunks, par::Schedule::kEdgeBalanced}) {
-    EXPECT_EQ(par::schedule_from_name(par::schedule_name(s)), s);
-  }
-  EXPECT_THROW(par::schedule_from_name("bogus"), std::invalid_argument);
 }
 
 // --- JPL bit-identical parity ----------------------------------------------
 
-TEST(ScheduleParityTest, JplIsInvariantAcrossSchedulesThreadsAndHubs) {
-  // RMAT gives the power-law skew the scheduler exists for. The baseline
-  // is the most conservative configuration; every combination must
-  // reproduce its colors AND its iteration count exactly.
-  const Csr g = make_rmat(12, 8, {}, 99);
-  Combo base{1u, par::Schedule::kVertexChunks, kHubOff};
-  const par::ParRun ref =
-      par::run_par_coloring(g, par::ParAlgorithm::kJpl, opts_for(base));
-  ASSERT_TRUE(check::is_valid_coloring(g, ref.colors));
+TEST(ScheduleParityTest, JplIsInvariantAcrossThreadsAndHubs) {
+  // One thread never takes the hub path, so it is the hub-off reference;
+  // every wider team must reproduce its colors AND iteration count
+  // exactly, with the cooperative path engaged wherever the input has
+  // hubs.
+  for (const NamedGraph& tc : parity_graphs()) {
+    const par::ParRun ref =
+        par::run_par_coloring(tc.graph, par::ParAlgorithm::kJpl, opts_for(1));
+    ASSERT_TRUE(check::is_valid_coloring(tc.graph, ref.colors)) << tc.name;
+    EXPECT_EQ(ref.hub_vertices, 0u) << tc.name;
 
-  for (const Combo& c : all_combos()) {
-    const par::ParRun run =
-        par::run_par_coloring(g, par::ParAlgorithm::kJpl, opts_for(c));
-    EXPECT_EQ(run.colors, ref.colors) << describe(c);
-    EXPECT_EQ(run.iterations, ref.iterations) << describe(c);
+    for (unsigned threads : kThreadCounts) {
+      const par::ParRun run = par::run_par_coloring(
+          tc.graph, par::ParAlgorithm::kJpl, opts_for(threads));
+      EXPECT_EQ(run.colors, ref.colors) << tc.name << "/" << threads << "t";
+      EXPECT_EQ(run.iterations, ref.iterations)
+          << tc.name << "/" << threads << "t";
+      EXPECT_EQ(run.hub_vertices > 0, threads > 1 && tc.has_hubs)
+          << tc.name << "/" << threads << "t";
+    }
   }
 }
 
-TEST(ScheduleParityTest, OneThreadSpeculativeStaysSequentialUnderAllKnobs) {
-  // The 1-thread speculative ≡ sequential-greedy contract must survive
-  // every schedule/hub setting (the hub path is defined to disengage on
-  // one thread precisely to keep the natural processing order).
-  const Csr g = make_barabasi_albert(4000, 6, 21);
-  const SeqColoring seq = greedy_color(g, GreedyOrder::kNatural);
-  for (par::Schedule s :
-       {par::Schedule::kVertexChunks, par::Schedule::kEdgeBalanced}) {
-    for (std::uint32_t hub : {kHubOn, kHubOff, 0u}) {
-      Combo c{1u, s, hub};
-      const par::ParRun run = par::run_par_coloring(
-          g, par::ParAlgorithm::kSpeculative, opts_for(c));
-      EXPECT_EQ(run.colors, seq.colors) << describe(c);
-    }
+TEST(ScheduleParityTest, OneThreadSpeculativeStaysSequentialOnHubGraphs) {
+  // The 1-thread speculative ≡ sequential-greedy contract must hold on
+  // inputs with hubs: the hub path is defined to disengage on one thread
+  // precisely to keep the natural processing order.
+  std::vector<NamedGraph> graphs = parity_graphs();
+  graphs.push_back({"ba", make_barabasi_albert(4000, 6, 21), false});
+  for (const NamedGraph& tc : graphs) {
+    const SeqColoring seq = greedy_color(tc.graph, GreedyOrder::kNatural);
+    const par::ParRun run = par::run_par_coloring(
+        tc.graph, par::ParAlgorithm::kSpeculative, opts_for(1));
+    EXPECT_EQ(run.colors, seq.colors) << tc.name;
+    EXPECT_EQ(run.hub_vertices, 0u) << tc.name;
   }
 }
 
@@ -116,18 +101,19 @@ TEST_P(ScheduleValidityTest, ValidAndCompleteOnSkewedGraphs) {
       {"rmat", make_rmat(11, 8, {}, 5)},
       {"ba", make_barabasi_albert(3000, 8, 5)},
       {"star", make_star(5000)},
+      {"bipartite", make_complete_bipartite(8, 3000)},
       {"gnm", make_erdos_renyi_gnm(3000, 24000, 5)},
   };
   for (const auto& tc : cases) {
-    for (const Combo& c : all_combos()) {
+    for (unsigned threads : kThreadCounts) {
       const par::ParRun run =
-          par::run_par_coloring(tc.graph, GetParam(), opts_for(c));
+          par::run_par_coloring(tc.graph, GetParam(), opts_for(threads));
       EXPECT_TRUE(check::is_valid_coloring(tc.graph, run.colors))
-          << tc.name << " " << describe(c) << ": "
+          << tc.name << " " << threads << "t: "
           << check::verify_coloring(tc.graph, run.colors)->to_string();
       EXPECT_EQ(run.colors.size(), tc.graph.num_vertices()) << tc.name;
       EXPECT_EQ(run.num_colors, count_colors(run.colors))
-          << tc.name << " " << describe(c);
+          << tc.name << " " << threads << "t";
     }
   }
 }
@@ -142,16 +128,15 @@ INSTANTIATE_TEST_SUITE_P(AllParAlgorithms, ScheduleValidityTest,
 // --- hub engagement ----------------------------------------------------------
 
 TEST(ScheduleHubTest, HubPathEngagesAndMatchesHubOffColoring) {
-  // A star's center dwarfs the threshold, so the cooperative path must
-  // actually run (run.hub_vertices counts hub phase visits) — and, for
-  // JPL, produce exactly the coloring of the hub-off run.
+  // A star's center dwarfs the auto threshold, so at 4 threads the
+  // cooperative path must actually run (run.hub_vertices counts hub phase
+  // visits) — and produce exactly the coloring of the hub-off 1-thread
+  // run.
   const Csr g = make_star(20'000);
-  Combo on{4u, par::Schedule::kEdgeBalanced, kHubOn};
-  Combo off{4u, par::Schedule::kEdgeBalanced, kHubOff};
   const par::ParRun hub =
-      par::run_par_coloring(g, par::ParAlgorithm::kJpl, opts_for(on));
+      par::run_par_coloring(g, par::ParAlgorithm::kJpl, opts_for(4));
   const par::ParRun flat =
-      par::run_par_coloring(g, par::ParAlgorithm::kJpl, opts_for(off));
+      par::run_par_coloring(g, par::ParAlgorithm::kJpl, opts_for(1));
   EXPECT_GT(hub.hub_vertices, 0u);
   EXPECT_EQ(flat.hub_vertices, 0u);
   EXPECT_EQ(hub.colors, flat.colors);
@@ -159,11 +144,42 @@ TEST(ScheduleHubTest, HubPathEngagesAndMatchesHubOffColoring) {
 
 TEST(ScheduleHubTest, HubPathStaysOffOnOneThread) {
   const Csr g = make_star(20'000);
-  Combo c{1u, par::Schedule::kEdgeBalanced, kHubOn};
   const par::ParRun run =
-      par::run_par_coloring(g, par::ParAlgorithm::kSpeculative, opts_for(c));
+      par::run_par_coloring(g, par::ParAlgorithm::kSpeculative, opts_for(1));
   EXPECT_EQ(run.hub_vertices, 0u);
   EXPECT_TRUE(check::is_valid_coloring(g, run.colors));
+}
+
+TEST(ScheduleHubTest, AutoThresholdIsTheOnlyHubRule) {
+  // make_plan turns hubs on iff workers > 1 and
+  // max_degree > max(2048, 16 * avg_degree). K(100, 3000) has degree-3000
+  // vertices above the floor but under 16x its ~194 average degree.
+  const struct {
+    const char* name;
+    Csr graph;
+    bool hubs_with_a_team;
+  } cases[] = {
+      {"star", make_star(20'000), true},
+      {"bipartite-8", make_complete_bipartite(8, 3000), true},
+      {"bipartite-100", make_complete_bipartite(100, 3000), false},
+      {"rmat", make_rmat(12, 8, {}, 99), false},
+      {"gnm", make_erdos_renyi_gnm(3000, 24000, 5), false},
+  };
+  for (const auto& tc : cases) {
+    const double avg = tc.graph.avg_degree();
+    const auto threshold =
+        static_cast<vid_t>(std::max(2048.0, 16.0 * avg));
+    for (unsigned workers : kThreadCounts) {
+      const par::detail::SchedulePlan plan =
+          par::detail::make_plan(tc.graph, workers);
+      EXPECT_EQ(plan.hub_threshold, threshold) << tc.name;
+      EXPECT_EQ(plan.hubs,
+                workers > 1 && tc.graph.max_degree() > threshold)
+          << tc.name << "/" << workers;
+      EXPECT_EQ(plan.hubs, workers > 1 && tc.hubs_with_a_team)
+          << tc.name << "/" << workers;
+    }
+  }
 }
 
 // --- bitset first-fit scratch ------------------------------------------------

@@ -144,39 +144,6 @@ def try_plot(blocks, outdir):
             ax.legend(fontsize=7)
             save(fig, f"{slug(experiment)}__{slug(title)}")
 
-        # Busy-time skew under scheduling policies (bench_par_imbalance):
-        # grouped bars per graph/algorithm, one bar per schedule+hub
-        # configuration — left panel worker busy skew, right panel the
-        # wall-clock ratio against the vertex-chunked baseline.
-        if "busy_max_over_mean" in header and "schedule" in header:
-            configs = list(dict.fromkeys(zip(cols["schedule"], cols["hub"])))
-            groups = list(dict.fromkeys(zip(cols["graph"], cols["algorithm"])))
-            fig, axes = plt.subplots(1, 2,
-                                     figsize=(max(8, len(groups) * 2.0), 4))
-            width = 0.8 / max(1, len(configs))
-            for ax, ycol, ref in ((axes[0], "busy_max_over_mean", None),
-                                  (axes[1], "win_vs_vertex", 1.0)):
-                ycol_i = header.index(ycol)
-                for ci, (sched, hub) in enumerate(configs):
-                    ys = []
-                    for g, a in groups:
-                        v = [float(r[ycol_i]) for r in data
-                             if (r[0], r[1]) == (g, a)
-                             and (r[header.index("schedule")],
-                                  r[header.index("hub")]) == (sched, hub)]
-                        ys.append(v[0] if v else 0.0)
-                    ax.bar([gi + ci * width for gi in range(len(groups))],
-                           ys, width, label=f"{sched}/hub={hub}")
-                if ref is not None:
-                    ax.axhline(ref, color="k", linewidth=0.6)
-                ax.set_xticks([gi + 0.4 for gi in range(len(groups))])
-                ax.set_xticklabels([f"{g}\n{a}" for g, a in groups],
-                                   fontsize=8)
-                ax.set_ylabel(ycol)
-                ax.legend(fontsize=6)
-            fig.suptitle(title, fontsize=9)
-            save(fig, f"{slug(experiment)}__busy_skew")
-
         # Service latency/throughput curve (bench_svc_throughput):
         # offered QPS on x, p50 and p99 latency on y (log scale), one
         # point per client-count sweep step.
