@@ -8,8 +8,8 @@
 // hub path is off on one thread, so the order stays natural).
 //
 // Scheduling is degree-aware (see detail/frontier.hpp): the frontier is
-// chunked by cumulative edge count under ParOptions::schedule, vertices
-// above the hub threshold are speculated and conflict-checked
+// chunked by cumulative edge count (kGrain vertices' worth per chunk),
+// vertices above the hub threshold are speculated and conflict-checked
 // cooperatively by the whole team, and the frontier itself switches
 // between a bitmap and a compacted worklist with density.
 #include "par/detail/frontier.hpp"

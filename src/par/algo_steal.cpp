@@ -44,7 +44,7 @@ void run_steal(DriverState& st) {
   FirstTouchArray<std::uint8_t> flags(st.pool, n, std::uint8_t{0});
   std::uint32_t fsize = n;
 
-  StealPool spool(workers);
+  StealPool<Chunk> spool(workers);
   // Same-node deques are preferred victims (never changes the coloring —
   // flags are per-vertex and the commit phases are schedule-independent).
   spool.set_worker_nodes(st.pool.worker_nodes());

@@ -3,14 +3,16 @@
 // follow Lê, Pop, Cohen, Nardelli ("Correct and Efficient Work-Stealing
 // for Weak Memory Models", PPoPP'13).
 //
-// Fixed capacity, no growth path: each coloring round fills a deque once
-// and drains it, so the owner never pushes more than `capacity` items
-// between reset()s and ring slots are never recycled while thieves race.
+// Fixed capacity, no growth path: a caller sizes the deque for every push
+// it makes between reset()s (a round's fill, or every vertex of a run),
+// so ring slots are never recycled while thieves race. Slots are left
+// untouched until pushed, so a worst-case size costs memory only for the
+// pages the pushes actually reach (when T is trivially constructible).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <vector>
 
 #include "util/expect.hpp"
 #include "util/narrow.hpp"
@@ -32,10 +34,12 @@ class WorkStealingDeque {
   void reserve(std::uint32_t capacity) {
     std::uint32_t cap = 1;
     while (cap < capacity) cap <<= 1;
-    buffer_.assign(cap, T{});
+    // Default-initialized: push_bottom writes a slot before any pop or
+    // steal can read it.
+    buffer_ = std::make_unique_for_overwrite<T[]>(cap);
     mask_ = cap - 1;
-    // order: relaxed — owner-only call while no thief is active; the next
-    // fill is published by StealPool::fill's release store of remaining_.
+    // order: relaxed — owner-only call while no thief is active; the
+    // parallel region that starts the pops and steals publishes it.
     top_.store(0, std::memory_order_relaxed);
     bottom_.store(0, std::memory_order_relaxed);
   }
@@ -49,7 +53,7 @@ class WorkStealingDeque {
   }
 
   std::uint32_t capacity() const {
-    return narrow<std::uint32_t>(buffer_.size());
+    return narrow<std::uint32_t>(mask_ + 1);
   }
 
   /// Racy size hint for victim selection — may be stale, never negative.
@@ -68,7 +72,7 @@ class WorkStealingDeque {
     // order: acquire pairs with thieves' seq_cst CAS on top_ so the
     // capacity assert below sees an up-to-date lower bound (PPoPP'13).
     const std::int64_t t = top_.load(std::memory_order_acquire);
-    GCG_ASSERT(b - t < to_signed(buffer_.size()));
+    GCG_ASSERT(b - t <= to_signed(mask_));
     buffer_[to_unsigned(b) & mask_] = item;
     // order: release publishes the buffer slot write above to thieves'
     // acquire load of bottom_ in steal().
@@ -133,7 +137,7 @@ class WorkStealingDeque {
   }
 
  private:
-  std::vector<T> buffer_;
+  std::unique_ptr<T[]> buffer_;
   std::size_t mask_ = 0;
   alignas(64) sync::atomic<std::int64_t> top_{0};
   alignas(64) sync::atomic<std::int64_t> bottom_{0};

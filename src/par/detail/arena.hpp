@@ -1,5 +1,5 @@
 // First-touch allocation for the large per-run arrays of the native
-// backend (colors, winner flags, frontier buffers, stamp bitmaps).
+// backend (colors, frontier buffers, stamp bitmaps).
 // Internal header.
 //
 // A std::vector constructor touches every page from the constructing

@@ -23,9 +23,9 @@ namespace gcg::par::detail {
 inline constexpr std::size_t kFirstFitBitsetCap = 4096;
 
 /// Target vertices per scheduler chunk in every barriered vertex-parallel
-/// phase: steal's commit phases, and the frontier phases of
-/// speculative/jpl, where it sets the chunk count and the edge-balanced
-/// split then moves the boundaries (FrontierExec::edge_grain).
+/// phase: steal's commit phases, and speculative's frontier phases,
+/// where it sets the chunk count and the edge-balanced split then moves
+/// the boundaries (FrontierExec::edge_grain).
 inline constexpr std::uint32_t kGrain = 512;
 
 struct DriverState {
@@ -40,9 +40,10 @@ struct DriverState {
     run.threads = pool.size();
     run.workers.resize(pool.size());
     // Start-word hints for the stamp-fallback first-fit; only graphs with
-    // a vertex whose palette can exceed the bitset cap ever consult them.
-    if (std::size_t{graph.max_degree()} + 1 >
-        kFirstFitBitsetCap) {
+    // a vertex whose palette can exceed the bitset cap ever consult them,
+    // and only algorithms that recolor a vertex (jpl colors each once).
+    if (algorithm != ParAlgorithm::kJpl &&
+        std::size_t{graph.max_degree()} + 1 > kFirstFitBitsetCap) {
       stamp_hints.assign(graph.num_vertices(), 0);
     }
   }
@@ -64,9 +65,10 @@ struct DriverState {
   ParRun run;
 };
 
-/// Polled by worker 0 at iteration boundaries: returns true (and latches
-/// run.cancelled) once opts.should_cancel fires. Checking only between
-/// iterations keeps the partial coloring phase-consistent.
+/// Polled by worker 0 only — at iteration boundaries (speculative,
+/// steal), or every few hundred colored vertices (jpl): returns true (and
+/// latches run.cancelled) once opts.should_cancel fires. Either way the
+/// partial coloring is conflict-free (for jpl, a prefix of the full run's).
 inline bool cancel_requested(DriverState& st) {
   if (st.run.cancelled) return true;
   if (st.opts.should_cancel && st.opts.should_cancel()) {
@@ -75,12 +77,14 @@ inline bool cancel_requested(DriverState& st) {
   return st.run.cancelled;
 }
 
-/// Relaxed atomic view of a color slot. Phase barriers order everything
-/// that matters; the relaxed accesses only make the benign races of the
-/// speculative kernel well-defined (and TSan-clean).
+/// Relaxed atomic view of a color slot. Phase barriers (jpl: its
+/// dependency counters) order everything that matters; the relaxed
+/// accesses only make the benign races of the speculative kernel
+/// well-defined (and TSan-clean).
 inline color_t load_color(const color_t& slot) {
-  // order: relaxed — phase barriers publish colors between phases; within
-  // a phase a stale read only causes a conflict the next iteration fixes
+  // order: relaxed — phase barriers publish colors between phases (jpl:
+  // the acq_rel counter hand-off before a vertex is ready); within a
+  // phase a stale read only causes a conflict the next iteration fixes
   // (the speculative algorithms are correct under any interleaving).
   return std::atomic_ref<const color_t>(slot).load(std::memory_order_relaxed);
 }

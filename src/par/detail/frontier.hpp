@@ -1,9 +1,9 @@
-// Degree-aware frontier execution for the vertex-parallel algorithms
-// (speculative, jpl), under one fixed policy chosen from the input rather
-// than from options: edge-balanced chunks (kGrain vertices' worth of
-// edges each), a cooperative whole-team path for hub vertices above the
-// auto threshold, and an adaptive dense/sparse frontier representation.
-// Internal header.
+// Degree-aware frontier execution for speculative's rounds (jpl has no
+// rounds: it colors each vertex once, off the steal deques), under one
+// fixed policy chosen from the input rather than from options:
+// edge-balanced chunks (kGrain vertices' worth of edges each), a
+// cooperative whole-team path for hub vertices above the auto threshold,
+// and an adaptive dense/sparse frontier representation. Internal header.
 //
 // Determinism contract: none of the machinery here may change what an
 // algorithm computes, only how the work is divided. The frontier switches

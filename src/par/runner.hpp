@@ -23,9 +23,11 @@ class ThreadPool;
 enum class ParAlgorithm {
   kSpeculative,  ///< speculative greedy + iterative conflict resolution
                  ///< (Gebremedhin–Manne); 1 thread == seq first-fit greedy
-  kJpl,          ///< parallel Jones–Plassmann–Luby: priority-maximal
-                 ///< independent sets, first-fit commit. Deterministic for
-                 ///< a fixed seed at any thread count.
+  kJpl,          ///< parallel Jones–Plassmann–Luby as a priority DAG:
+                 ///< each vertex first-fits once all its higher-priority
+                 ///< neighbours are colored. Equals sequential first-fit
+                 ///< in priority order, for a fixed seed, at any thread
+                 ///< count.
   kSteal,        ///< worklist max-min on per-worker Chase–Lev deques with
                  ///< work stealing — the native mirror of Algorithm::kSteal.
 };
@@ -52,26 +54,36 @@ struct ParOptions {
   /// stays deterministic for a fixed (order, seed, algorithm).
   Order order = Order::kNatural;
 
-  /// Cooperative cancellation: polled by worker 0 between iterations
-  /// (never mid-phase, so the color array stays phase-consistent). When it
-  /// returns true the run stops early and ParRun::cancelled is set; the
-  /// partial coloring is returned as-is. Used by the service layer for
-  /// per-job deadlines and client-initiated cancellation.
+  /// Cooperative cancellation, polled by worker 0 only: between iterations
+  /// for kSpeculative and kSteal (never mid-phase, so the color array stays
+  /// phase-consistent), and for kJpl once before coloring and then every
+  /// few hundred vertices it colors or whenever it runs out of work. When
+  /// it returns true the run stops early and ParRun::cancelled is set; the
+  /// partial coloring is returned as-is (for kJpl, every colored vertex
+  /// already has its final color). Used by the service layer for per-job
+  /// deadlines and client-initiated cancellation.
   std::function<bool()> should_cancel;
 };
 
 /// What one worker did across the whole run.
 struct ParWorkerStats {
   double busy_ms = 0.0;          ///< time inside vertex-processing loops
-  std::uint64_t chunks = 0;      ///< deque chunks processed (kSteal)
-  std::uint64_t vertices = 0;    ///< frontier vertices scanned
-  StealStats steal;              ///< this worker as thief (kSteal)
+                                 ///< (kJpl: excludes idle spinning)
+  std::uint64_t chunks = 0;      ///< deque chunks processed (kSteal; kJpl's
+                                 ///< deque items are single vertices, so
+                                 ///< it counts them in `vertices` only)
+  std::uint64_t vertices = 0;    ///< frontier vertices scanned (kJpl:
+                                 ///< vertices colored, each exactly once)
+  StealStats steal;              ///< this worker's deque pops and steals
+                                 ///< (kSteal, kJpl)
 };
 
 struct ParRun {
   ParAlgorithm algorithm = ParAlgorithm::kSpeculative;
   std::vector<color_t> colors;
   int num_colors = 0;
+  /// Rounds run; for kJpl, which has none, the longest chain of
+  /// higher-priority neighbours — the round count of round-based JP.
   unsigned iterations = 0;
   unsigned threads = 1;
   /// True if opts.should_cancel stopped the run before completion; the
@@ -84,11 +96,11 @@ struct ParRun {
   Order order = Order::kNatural;
   double reorder_ms = 0.0;
   /// Hub-vertex passes run cooperatively (whole team on one adjacency
-  /// list); 0 on one thread, for kSteal, or when no vertex's degree
+  /// list); 0 for kJpl/kSteal, on one thread, or when no vertex's degree
   /// exceeds max(2048, 16 * avg_degree).
   std::uint64_t hub_vertices = 0;
   std::vector<ParWorkerStats> workers;
-  StealStats steal;              ///< aggregate across workers (kSteal)
+  StealStats steal;              ///< aggregate across workers (kSteal, kJpl)
   /// Busy-time skew across workers (cu_* fields read "per worker", and
   /// the *_cycles fields carry milliseconds for this backend).
   ImbalanceReport imbalance;

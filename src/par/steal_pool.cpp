@@ -6,16 +6,18 @@
 
 namespace gcg::par {
 
-StealPool::StealPool(unsigned workers) {
+template <class T>
+StealPool<T>::StealPool(unsigned workers, std::uint32_t capacity) {
   GCG_EXPECT(workers > 0);
   slots_.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
-    slots_.push_back(std::make_unique<Slot>());
+    slots_.push_back(std::make_unique<Slot>(capacity));
   }
   set_worker_nodes({});
 }
 
-void StealPool::set_worker_nodes(const std::vector<unsigned>& nodes) {
+template <class T>
+void StealPool<T>::set_worker_nodes(const std::vector<unsigned>& nodes) {
   const unsigned n = workers();
   const bool known = nodes.size() == n;  // otherwise: one node
   local_victims_.assign(n, {});
@@ -29,8 +31,10 @@ void StealPool::set_worker_nodes(const std::vector<unsigned>& nodes) {
   }
 }
 
-void StealPool::fill(const std::vector<std::vector<Chunk>>& per_worker) {
+template <class T>
+void StealPool<T>::fill(const std::vector<std::vector<T>>& per_worker) {
   GCG_EXPECT(per_worker.size() == slots_.size());
+  counted_ = true;
   std::int64_t total = 0;
   for (unsigned w = 0; w < workers(); ++w) {
     auto& dq = slots_[w]->deque;
@@ -53,10 +57,17 @@ void StealPool::fill(const std::vector<std::vector<Chunk>>& per_worker) {
   remaining_.store(total, std::memory_order_release);
 }
 
-std::optional<Chunk> StealPool::pop_own(unsigned worker) {
+template <class T>
+void StealPool<T>::push_own(unsigned worker, T item) {
+  GCG_DCHECK(!counted_);
+  slots_[worker]->deque.push_bottom(item);
+}
+
+template <class T>
+std::optional<T> StealPool<T>::pop_own(unsigned worker) {
   stress_point(worker);  // schedule-perturbation hook (no-op unless installed)
   auto& slot = *slots_[worker];
-  std::optional<Chunk> c = slot.deque.pop_bottom();
+  std::optional<T> c = slot.deque.pop_bottom();
   if (c) {
     ++slot.stats.pops;
     // order: release — drained()'s acquire load pairs with the decrement
@@ -67,24 +78,26 @@ std::optional<Chunk> StealPool::pop_own(unsigned worker) {
     // model checker flagged it as vacuous; LIT-CNT-1 in
     // tests/mc/test_mc_litmus.cpp shows release suffices and relaxed
     // does not.
-    remaining_.fetch_sub(1, std::memory_order_release);
+    if (counted_) remaining_.fetch_sub(1, std::memory_order_release);
   }
   return c;
 }
 
-std::optional<Chunk> StealPool::try_victim(unsigned thief, unsigned victim) {
-  std::optional<Chunk> c = slots_[victim]->deque.steal();
+template <class T>
+std::optional<T> StealPool<T>::try_victim(unsigned thief, unsigned victim) {
+  std::optional<T> c = slots_[victim]->deque.steal();
   if (c) {
     auto& stats = slots_[thief]->stats;
     ++stats.steal_hits;
     ++stats.chunks_stolen;
     // order: release — same contract as pop_own's decrement (LIT-CNT-1).
-    remaining_.fetch_sub(1, std::memory_order_release);
+    if (counted_) remaining_.fetch_sub(1, std::memory_order_release);
   }
   return c;
 }
 
-std::optional<Chunk> StealPool::steal_from(
+template <class T>
+std::optional<T> StealPool<T>::steal_from(
     unsigned thief, Xoshiro256ss& rng, const std::vector<unsigned>& victims) {
   // A few uniform probes, like the simulated queues' bounded retry.
   const auto n = narrow<unsigned>(victims.size());
@@ -95,7 +108,8 @@ std::optional<Chunk> StealPool::steal_from(
   return std::nullopt;
 }
 
-std::optional<Chunk> StealPool::steal(unsigned thief, Xoshiro256ss& rng) {
+template <class T>
+std::optional<T> StealPool<T>::steal(unsigned thief, Xoshiro256ss& rng) {
   stress_point(thief);  // schedule-perturbation hook (no-op unless installed)
   ++slots_[thief]->stats.steal_attempts;
   // Node-local pass first; remote victims only when it comes up empty.
@@ -103,20 +117,26 @@ std::optional<Chunk> StealPool::steal(unsigned thief, Xoshiro256ss& rng) {
   return steal_from(thief, rng, remote_victims_[thief]);
 }
 
-std::optional<Chunk> StealPool::acquire(unsigned worker, Xoshiro256ss& rng) {
+template <class T>
+std::optional<T> StealPool<T>::acquire(unsigned worker, Xoshiro256ss& rng) {
   if (auto c = pop_own(worker)) return c;
   if (drained()) return std::nullopt;
   return steal(worker, rng);
 }
 
-StealStats StealPool::stats() const {
+template <class T>
+StealStats StealPool<T>::stats() const {
   StealStats total;
   for (const auto& slot : slots_) total += slot->stats;
   return total;
 }
 
-void StealPool::reset_stats() {
+template <class T>
+void StealPool<T>::reset_stats() {
   for (auto& slot : slots_) slot->stats = StealStats{};
 }
+
+template class StealPool<Chunk>;
+template class StealPool<vid_t>;
 
 }  // namespace gcg::par

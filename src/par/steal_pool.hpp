@@ -3,6 +3,8 @@
 // StealStats vocabulary so sim and par runs report comparable numbers.
 // (The simulated queues keep all three victim policies for the paper's
 // ablation; here random probing is the only policy, per that ablation.)
+// Items are chunks of a round's frontier (kSteal, loaded by fill()) or
+// single ready vertices that workers push as they discover them (kJpl).
 //
 // Thread safety: entirely lock-free — coordination is sync::atomic
 // top/bottom indices inside the Chase–Lev deques, so there is no mutex
@@ -16,6 +18,7 @@
 #include <optional>
 #include <vector>
 
+#include "graph/csr.hpp"  // vid_t
 #include "par/deque.hpp"
 #include "sched/chunk.hpp"
 #include "sched/steal_queues.hpp"  // StealStats
@@ -25,14 +28,25 @@
 
 namespace gcg::par {
 
+template <class T = Chunk>
 class StealPool {
  public:
-  explicit StealPool(unsigned workers);
+  /// Every deque starts sized for `capacity` items between fills.
+  explicit StealPool(unsigned workers, std::uint32_t capacity = 256);
 
   /// Load one round's distribution (from deal_round_robin/deal_blocked).
   /// Callable only while no worker is popping/stealing. Stats accumulate
   /// across fills; see reset_stats().
-  void fill(const std::vector<std::vector<Chunk>>& per_worker);
+  void fill(const std::vector<std::vector<T>>& per_worker);
+
+  /// Owner push onto the bottom of `worker`'s own deque, for work found
+  /// while running. Only on a pool that is never fill()ed, and at most
+  /// the constructor's `capacity` pushes per deque in total. Pushed items
+  /// are not counted by drained(): an item is handed out before the
+  /// pushes it leads to happen, so a push-driven caller must detect
+  /// termination itself, and pops and steals then touch no shared
+  /// counter.
+  void push_own(unsigned worker, T item);
 
   unsigned workers() const { return narrow<unsigned>(slots_.size()); }
 
@@ -41,24 +55,26 @@ class StealPool {
   /// back to the remote ones only when the local pass misses — stolen
   /// chunks then mostly touch node-local frontier and color pages.
   /// Victim *order* never affects what kSteal computes (flags are
-  /// per-vertex, commits are schedule-independent), only steal latency.
+  /// per-vertex, commits are schedule-independent) or what kJpl computes
+  /// (first-fit in priority order), only steal latency.
   /// Until called (or given a list of the wrong size) every worker counts
   /// as one node, so every other worker is a local victim.
   void set_worker_nodes(const std::vector<unsigned>& nodes);
 
   /// Owner pop from the bottom of `worker`'s own deque.
-  std::optional<Chunk> pop_own(unsigned worker);
+  std::optional<T> pop_own(unsigned worker);
 
   /// One steal attempt: uniform random probes over the thief's local
   /// victims, then over its remote ones. nullopt = every probe found an
   /// empty deque or lost its race; retry while !drained().
-  std::optional<Chunk> steal(unsigned thief, Xoshiro256ss& rng);
+  std::optional<T> steal(unsigned thief, Xoshiro256ss& rng);
 
   /// pop_own, falling back to one steal attempt.
-  std::optional<Chunk> acquire(unsigned worker, Xoshiro256ss& rng);
+  std::optional<T> acquire(unsigned worker, Xoshiro256ss& rng);
 
   /// True once every chunk of the current fill has been handed out
   /// (handed out, not necessarily finished — pair with a pool barrier).
+  /// Meaningless for push_own work.
   bool drained() const {
     // order: acquire pairs with the release decrements in pop/steal so a
     // worker that sees 0 also sees every handed-out chunk's bookkeeping
@@ -75,12 +91,13 @@ class StealPool {
   // Heap-allocate per-worker state so deque cursors and stats counters of
   // different workers never share a cache line.
   struct alignas(64) Slot {
-    WorkStealingDeque<Chunk> deque;
+    explicit Slot(std::uint32_t capacity) : deque(capacity) {}
+    WorkStealingDeque<T> deque;
     StealStats stats;
   };
-  std::optional<Chunk> try_victim(unsigned thief, unsigned victim);
-  std::optional<Chunk> steal_from(unsigned thief, Xoshiro256ss& rng,
-                                  const std::vector<unsigned>& victims);
+  std::optional<T> try_victim(unsigned thief, unsigned victim);
+  std::optional<T> steal_from(unsigned thief, Xoshiro256ss& rng,
+                              const std::vector<unsigned>& victims);
 
   std::vector<std::unique_ptr<Slot>> slots_;
   /// Per-thief victim lists in ring order from the thief, split into
@@ -88,6 +105,10 @@ class StealPool {
   std::vector<std::vector<unsigned>> local_victims_;
   std::vector<std::vector<unsigned>> remote_victims_;
   alignas(64) sync::atomic<std::int64_t> remaining_{0};
+  bool counted_ = false;  ///< fill()ed: pops and steals count down remaining_
 };
+
+extern template class StealPool<Chunk>;
+extern template class StealPool<vid_t>;
 
 }  // namespace gcg::par

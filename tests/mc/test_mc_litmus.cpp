@@ -9,6 +9,9 @@
 // par::StealPool (release decrements + acquire drained() load). The
 // release variant passes and the relaxed variant fails, which is the
 // evidence for downgrading the old acq_rel decrement in steal_pool.cpp.
+// So does the dependency-counter hand-off of par's jpl, where the
+// decrement that reaches zero must itself acquire (acq_rel passes,
+// release fails).
 
 #include <gtest/gtest.h>
 
@@ -28,6 +31,7 @@ using gcg::mc::Result;
 constexpr auto kRelaxed = std::memory_order_relaxed;
 constexpr auto kAcquire = std::memory_order_acquire;
 constexpr auto kRelease = std::memory_order_release;
+constexpr auto kAcqRel = std::memory_order_acq_rel;
 constexpr auto kSeqCst = std::memory_order_seq_cst;
 
 // ---------------------------------------------------------------- store
@@ -224,6 +228,65 @@ TEST(McLitmus, DrainCounterRelaxedFails) {
   const Result r = check(m, opts);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.failure.find("ra == 1"), std::string::npos) << r.failure;
+}
+
+// ------------------------------------------- dependency counter: par's
+// jpl colors a vertex once its counter of uncolored higher-priority
+// neighbours reaches zero. Two neighbours each store their color
+// (relaxed) and decrement the shared counter; the one whose fetch_sub
+// returns 1 pushes the waiting vertex, which first-fits against both
+// colors — so that worker must read both. Unlike LIT-CNT-1 there is no
+// separate observer: the last decrement is the reader, so every
+// decrement needs release and the last one acquire (acq_rel); release
+// alone lets the last decrementer miss the other color.
+// algo_jpl.cpp cites this test.
+struct DependencyCounter : Model {
+  std::memory_order dec_mo;
+
+  std::optional<gcg::mc::atomic<int>> pending, color0, color1;
+  int last = -1;
+  int seen0 = -1, seen1 = -1;
+
+  explicit DependencyCounter(std::memory_order dec) : dec_mo(dec) {}
+
+  int num_threads() const override { return 2; }
+  void reset() override {
+    pending.emplace(2);
+    color0.emplace(-1);
+    color1.emplace(-1);
+    gcg::mc::set_name(&*pending, "pending");
+    gcg::mc::set_name(&*color0, "color0");
+    gcg::mc::set_name(&*color1, "color1");
+    last = -1;
+    seen0 = seen1 = -1;
+  }
+  void thread(int tid) override {
+    (tid == 0 ? *color0 : *color1).store(tid + 1, kRelaxed);
+    if (pending->fetch_sub(1, dec_mo) == 1) {
+      last = tid;
+      seen0 = color0->load(kRelaxed);
+      seen1 = color1->load(kRelaxed);
+    }
+  }
+  void finally() override {
+    MC_REQUIRE(last != -1);
+    MC_REQUIRE(seen0 == 1 && seen1 == 2);
+  }
+};
+
+TEST(McLitmus, DependencyCounterAcqRelPasses) {
+  DependencyCounter m(kAcqRel);
+  const Result r = check(m);
+  EXPECT_TRUE(r.ok) << r.trace;
+  EXPECT_TRUE(r.complete);
+}
+
+TEST(McLitmus, DependencyCounterReleaseFails) {
+  DependencyCounter m(kRelease);
+  const Result r = check(m);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.failure.find("seen0 == 1 && seen1 == 2"), std::string::npos)
+      << r.failure;
 }
 
 // ------------------------------------------------------------ atomic_flag

@@ -1,10 +1,15 @@
 // End-to-end native backend tests: determinism (fixed seed + 1 thread
-// reproduces the sequential reference), parity (valid colorings on the
-// full generator suite at several thread counts), and stats plumbing.
+// reproduces the sequential reference; jpl is greedy in priority order),
+// parity (valid colorings on the full generator suite at several thread
+// counts), cancellation, and stats plumbing.
 #include "par/runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
+#include "coloring/priorities.hpp"
 #include "coloring/seq_greedy.hpp"
 #include "check/coloring.hpp"
 #include "graph/gen/powerlaw.hpp"
@@ -54,6 +59,68 @@ TEST(ParDeterminismTest, JplNaturalOrderEqualsSequentialGreedyAtAnyThreads) {
   }
 }
 
+/// Sequential first-fit in decreasing (priority, id) order, plus the
+/// longest chain of higher-priority neighbours (the JP round count).
+struct PriorityGreedy {
+  std::vector<color_t> colors;
+  unsigned depth = 0;
+};
+
+PriorityGreedy greedy_in_priority_order(const Csr& g, PriorityMode mode,
+                                        std::uint64_t seed) {
+  const std::vector<std::uint32_t> prio = make_priorities(g, mode, seed);
+  std::vector<vid_t> order(g.num_vertices());
+  std::iota(order.begin(), order.end(), vid_t{0});
+  std::sort(order.begin(), order.end(), [&](vid_t a, vid_t b) {
+    return priority_less(prio[b], b, prio[a], a);
+  });
+  PriorityGreedy out;
+  out.colors.assign(g.num_vertices(), kUncolored);
+  std::vector<unsigned> level(g.num_vertices(), 0);
+  for (vid_t v : order) {
+    std::vector<bool> used(g.degree(v) + 1, false);
+    unsigned lv = 0;
+    for (vid_t u : g.neighbors(v)) {
+      if (out.colors[u] == kUncolored) continue;  // lower priority: later
+      lv = std::max(lv, level[u]);
+      if (static_cast<std::size_t>(out.colors[u]) < used.size()) {
+        used[static_cast<std::size_t>(out.colors[u])] = true;
+      }
+    }
+    color_t c = 0;
+    while (used[static_cast<std::size_t>(c)]) ++c;
+    out.colors[v] = c;
+    level[v] = lv + 1;
+    out.depth = std::max(out.depth, level[v]);
+  }
+  return out;
+}
+
+TEST(ParDeterminismTest, JplEqualsGreedyInPriorityOrder) {
+  // Jones–Plassmann under any strict priority order is sequential
+  // first-fit in decreasing priority, and its round count is the longest
+  // priority chain — at every thread count.
+  const SuiteOptions sopts{.scale = 0.05, .seed = 4};
+  for (const SuiteEntry& entry : make_suite(sopts)) {
+    for (PriorityMode mode :
+         {PriorityMode::kRandom, PriorityMode::kDegreeBiased}) {
+      const PriorityGreedy ref = greedy_in_priority_order(entry.graph, mode, 9);
+      for (unsigned threads : {1u, 2u, 4u}) {
+        par::ParOptions o = opts_with(threads, 9);
+        o.priority = mode;
+        const par::ParRun run =
+            par::run_par_coloring(entry.graph, par::ParAlgorithm::kJpl, o);
+        EXPECT_EQ(run.colors, ref.colors)
+            << entry.name << "/" << priority_mode_name(mode) << " @"
+            << threads;
+        EXPECT_EQ(run.iterations, ref.depth)
+            << entry.name << "/" << priority_mode_name(mode) << " @"
+            << threads;
+      }
+    }
+  }
+}
+
 TEST(ParDeterminismTest, FixedSeedReproducesAcrossRuns) {
   const Csr g = make_barabasi_albert(2000, 4, 17);
   for (par::ParAlgorithm algo : par::all_par_algorithms()) {
@@ -73,8 +140,8 @@ TEST(ParDeterminismTest, FixedSeedReproducesAcrossRuns) {
 }
 
 TEST(ParDeterminismTest, JplAndStealAreThreadCountInvariant) {
-  // Phase barriers make both algorithms compute the same flags no matter
-  // how work is scheduled, so colors must not depend on the thread count.
+  // Phase barriers (steal) and the priority DAG (jpl) make the colors
+  // independent of how work is scheduled, so of the thread count too.
   const Csr g = make_barabasi_albert(3000, 5, 7);
   for (par::ParAlgorithm algo :
        {par::ParAlgorithm::kJpl, par::ParAlgorithm::kSteal}) {
@@ -141,6 +208,49 @@ INSTANTIATE_TEST_SUITE_P(AllParAlgorithms, ParParityTest,
                          [](const auto& info) {
                            return std::string(par_algorithm_name(info.param));
                          });
+
+// --- cancellation ------------------------------------------------------------
+
+TEST(ParCancelTest, JplStopsWithAPrefixOfTheFullColoring) {
+  // Jpl polls should_cancel once before coloring and then every few
+  // hundred vertices. Cancelled on the second poll, it must stop short,
+  // and whatever it colored must be final: the full run's colors, on a
+  // set closed under higher-priority neighbours.
+  const Csr g = make_suite_graph("kron-like", {.scale = 0.25, .seed = 1}).graph;
+  const par::ParRun full =
+      par::run_par_coloring(g, par::ParAlgorithm::kJpl, opts_with(4));
+  par::ParOptions o = opts_with(4);
+  int polls = 0;  // only worker 0, the calling thread, polls
+  o.should_cancel = [&polls] { return ++polls >= 2; };
+  const auto uncolored = [](const par::ParRun& r) {
+    return std::count(r.colors.begin(), r.colors.end(), kUncolored);
+  };
+  // Cancellation races the other workers: a worker 0 descheduled until
+  // they have colored everything never polls again, and the run ends
+  // complete. Retry until one stops short.
+  par::ParRun run;
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    polls = 0;
+    run = par::run_par_coloring(g, par::ParAlgorithm::kJpl, o);
+    if (uncolored(run) > 0) break;
+  }
+
+  EXPECT_TRUE(run.cancelled);
+  ASSERT_EQ(run.colors.size(), g.num_vertices());
+  EXPECT_NE(uncolored(run), 0);
+  const std::vector<std::uint32_t> prio =
+      make_priorities(g, o.priority, o.seed);
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    if (run.colors[v] == kUncolored) continue;
+    ASSERT_EQ(run.colors[v], full.colors[v]) << "vertex " << v;
+    for (vid_t u : g.neighbors(v)) {
+      if (priority_less(prio[v], v, prio[u], u)) {
+        ASSERT_NE(run.colors[u], kUncolored)
+            << "vertex " << v << " colored before its neighbour " << u;
+      }
+    }
+  }
+}
 
 // --- stats plumbing ----------------------------------------------------------
 
