@@ -167,7 +167,7 @@ void run_jpl(DriverState& st) {
   });
 
   st.run.iterations = *std::max_element(depth.begin(), depth.end());
-  GCG_ASSERT(st.run.iterations <= st.opts.max_iterations);
+  GCG_ASSERT(st.run.iterations <= kMaxRounds);
   for (unsigned w = 0; w < workers; ++w) {
     st.run.workers[w].steal = ready.worker_stats(w);
   }

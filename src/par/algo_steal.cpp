@@ -55,13 +55,13 @@ void run_steal(DriverState& st) {
     scratch[w] = std::make_unique<FirstFitScratch>(st.g.max_degree());
   });
   // Commit phases are barriered parallel_fors over kGrain-vertex chunks;
-  // the flag phase's imbalance is handled by the deques, so neither the
-  // edge-balanced split nor the hub path applies here.
+  // the flag phase's imbalance is handled by the deques, so the
+  // edge-balanced split does not apply here.
   color_t palette = 0;  // colors used so far; barriers keep it exact
   std::vector<color_t> wmax(workers);
 
   while (fsize > 0 && !cancel_requested(st)) {
-    GCG_ASSERT(st.run.iterations < st.opts.max_iterations);
+    GCG_ASSERT(st.run.iterations < kMaxRounds);
     const unsigned iter = st.run.iterations++;
     const auto chunks = make_chunks(fsize, kChunkSize);
     spool.fill(deal_blocked(chunks, workers));

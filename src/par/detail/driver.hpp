@@ -23,10 +23,14 @@ namespace gcg::par::detail {
 inline constexpr std::size_t kFirstFitBitsetCap = 4096;
 
 /// Target vertices per scheduler chunk in every barriered vertex-parallel
-/// phase: steal's commit phases, and speculative's frontier phases,
+/// phase: steal's commit phases, and speculative's two passes per round,
 /// where it sets the chunk count and the edge-balanced split then moves
-/// the boundaries (FrontierExec::edge_grain).
+/// the boundaries (edge_grain in algo_speculative.cpp).
 inline constexpr std::uint32_t kGrain = 512;
+
+/// Safety cap on rounds (speculative, steal) and on jpl's longest
+/// priority chain; every algorithm finishes far below it.
+inline constexpr unsigned kMaxRounds = 1u << 20;
 
 struct DriverState {
   DriverState(ThreadPool& p, const Csr& graph, const ParOptions& options,

@@ -40,7 +40,6 @@ struct ParOptions {
   unsigned threads = 0;  ///< 0 = hardware concurrency
   PriorityMode priority = PriorityMode::kRandom;
   std::uint64_t seed = 1;
-  unsigned max_iterations = 1u << 20;  ///< safety cap
 
   /// Preprocessing vertex reordering (graph/reorder.hpp): the run colors
   /// a relabeled copy of the graph and transparently unmaps the colors
@@ -95,9 +94,8 @@ struct ParRun {
   /// permutation + relabeling + unmap cost on top of wall_ms.
   Order order = Order::kNatural;
   double reorder_ms = 0.0;
-  /// Hub-vertex passes run cooperatively (whole team on one adjacency
-  /// list); 0 for kJpl/kSteal, on one thread, or when no vertex's degree
-  /// exceeds max(2048, 16 * avg_degree).
+  /// Always 0: no algorithm has a cooperative hub pass. Kept because the
+  /// end-to-end benchmark (bench/e2e) still reports it.
   std::uint64_t hub_vertices = 0;
   std::vector<ParWorkerStats> workers;
   StealStats steal;              ///< aggregate across workers (kSteal, kJpl)

@@ -3,8 +3,7 @@
 // decision stream, and — the point of the exercise — leave every
 // scheduling invariant intact: JPL stays bit-identical across thread
 // counts even when pops and steals yield and stall at random, and
-// speculative/steal colorings stay valid, with speculative's cooperative
-// hub path engaged on hub graphs.
+// speculative/steal colorings stay valid, hub graphs included.
 #include "check/stress.hpp"
 
 #include <gtest/gtest.h>
@@ -70,18 +69,18 @@ TEST(StressScheduleDeathTest, SecondHarnessIsRejected) {
 // --- the JPL bit-identity suite, rerun under perturbation -------------------
 
 /// The star's center (degree 20000) and K(8, 3000)'s left vertices
-/// (degree 3000) clear the auto hub threshold; RMAT has no hubs.
+/// (degree 3000) are hubs far above their graphs' average degree; RMAT's
+/// tail is milder.
 struct StressCase {
   const char* name;
   Csr graph;
-  bool has_hubs;
 };
 
 std::vector<StressCase> stress_cases() {
   std::vector<StressCase> out;
-  out.push_back({"rmat", make_rmat(11, 8, {}, 99), false});
-  out.push_back({"star", make_star(20'000), true});
-  out.push_back({"bipartite", make_complete_bipartite(8, 3000), true});
+  out.push_back({"rmat", make_rmat(11, 8, {}, 99)});
+  out.push_back({"star", make_star(20'000)});
+  out.push_back({"bipartite", make_complete_bipartite(8, 3000)});
   return out;
 }
 
@@ -98,7 +97,6 @@ TEST(StressSchedule, JplBitIdentityHoldsUnderPerturbation) {
     const par::ParRun ref =
         par::run_par_coloring(tc.graph, par::ParAlgorithm::kJpl, opts);
     ASSERT_FALSE(check::verify_coloring(tc.graph, ref.colors).has_value());
-    EXPECT_EQ(ref.hub_vertices, 0u) << tc.name;
 
     for (std::uint64_t seed : {3ull, 17ull}) {
       check::StressSchedule stress(check::StressOptions{
@@ -110,8 +108,6 @@ TEST(StressSchedule, JplBitIdentityHoldsUnderPerturbation) {
         EXPECT_EQ(run.colors, ref.colors)
             << tc.name << "/" << threads << "t/seed=" << seed;
         EXPECT_EQ(run.iterations, ref.iterations);
-        EXPECT_EQ(run.hub_vertices, 0u)
-            << tc.name << "/" << threads << "t/seed=" << seed;
       }
       EXPECT_GT(stress.perturbations(), 0u) << "harness never engaged";
     }
@@ -120,7 +116,7 @@ TEST(StressSchedule, JplBitIdentityHoldsUnderPerturbation) {
 
 TEST(StressSchedule, SpeculativeAndStealStayValidUnderPerturbation) {
   std::vector<StressCase> cases = stress_cases();
-  cases.push_back({"ba", make_barabasi_albert(3000, 8, 5), false});
+  cases.push_back({"ba", make_barabasi_albert(3000, 8, 5)});
   check::StressSchedule stress(check::StressOptions{
       .seed = 11, .yield_probability = 0.3, .spin_probability = 0.3});
   for (const StressCase& tc : cases) {
@@ -135,11 +131,6 @@ TEST(StressSchedule, SpeculativeAndStealStayValidUnderPerturbation) {
         EXPECT_FALSE(violation.has_value())
             << tc.name << "/" << par::par_algorithm_name(algo) << "/"
             << threads << "t: " << violation->to_string();
-        // Speculative is the hub path's only caller: keep its cooperative
-        // first-fit and conflict scan under perturbation.
-        if (algo == par::ParAlgorithm::kSpeculative && tc.has_hubs) {
-          EXPECT_GT(run.hub_vertices, 0u) << tc.name << "/" << threads << "t";
-        }
       }
     }
   }

@@ -211,6 +211,49 @@ INSTANTIATE_TEST_SUITE_P(AllParAlgorithms, ParParityTest,
 
 // --- cancellation ------------------------------------------------------------
 
+TEST(ParCancelTest, SpeculativeStopsAtARoundBoundary) {
+  // Speculative polls should_cancel before each round, never mid-round,
+  // so a cancelled run holds the state a round boundary leaves: the
+  // conflict pass has already uncolored every loser.
+  const Csr g = make_suite_graph("kron-like", {.scale = 0.25, .seed = 1}).graph;
+  const auto poll_until = [](int fire_at) {
+    par::ParOptions o = opts_with(4);
+    // Only worker 0, the calling thread, polls; the counter lives in the
+    // closure, so each run starts from zero.
+    o.should_cancel = [fire_at, polls = 0]() mutable {
+      return ++polls >= fire_at;
+    };
+    return o;
+  };
+
+  // Fired on the first poll: no round runs.
+  const par::ParRun none =
+      par::run_par_coloring(g, par::ParAlgorithm::kSpeculative, poll_until(1));
+  EXPECT_TRUE(none.cancelled);
+  EXPECT_EQ(none.iterations, 0u);
+  ASSERT_EQ(none.colors.size(), g.num_vertices());
+  EXPECT_TRUE(std::all_of(none.colors.begin(), none.colors.end(),
+                          [](color_t c) { return c == kUncolored; }));
+
+  // Fired on the second poll: exactly one round ran. If that round left no
+  // conflicts there is no second poll and the coloring is complete.
+  const par::ParRun one =
+      par::run_par_coloring(g, par::ParAlgorithm::kSpeculative, poll_until(2));
+  EXPECT_EQ(one.iterations, 1u);
+  ASSERT_EQ(one.colors.size(), g.num_vertices());
+  if (one.cancelled) {
+    for (vid_t v = 0; v < g.num_vertices(); ++v) {
+      if (one.colors[v] == kUncolored) continue;
+      for (vid_t u : g.neighbors(v)) {
+        ASSERT_NE(one.colors[u], one.colors[v])
+            << "monochromatic edge " << v << "-" << u;
+      }
+    }
+  } else {
+    EXPECT_TRUE(check::is_valid_coloring(g, one.colors));
+  }
+}
+
 TEST(ParCancelTest, JplStopsWithAPrefixOfTheFullColoring) {
   // Jpl polls should_cancel once before coloring and then every few
   // hundred vertices. Cancelled on the second poll, it must stop short,

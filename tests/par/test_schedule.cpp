@@ -1,14 +1,12 @@
-// Degree-aware scheduling tests: the edge-balanced partitioner, the hub
-// cooperation path, and the bitset first-fit scratch must not change any
-// observable coloring — JPL stays bit-identical across thread counts on
-// hub graphs, and the speculative/steal algorithms stay valid and
-// complete on skewed degree distributions. The scheduling policy is
-// fixed, so hub coverage comes from the inputs: graphs whose hubs clear
-// the auto threshold max(2048, 16 * avg_degree). Only speculative takes
-// the hub path; jpl colors each vertex once, off any frontier.
+// Degree-aware scheduling tests: the edge-balanced partitioner and the
+// bitset first-fit scratch must not change any observable coloring — JPL
+// stays bit-identical across thread counts on hub graphs, and the
+// speculative/steal algorithms stay valid and complete on skewed degree
+// distributions. Skew comes from the inputs: a star and K(8, 3000) whose
+// hubs carry thousands of edges (each gets an edge-balanced chunk of its
+// own), and RMAT's milder tail.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <random>
 
 #include "coloring/seq_greedy.hpp"
@@ -16,7 +14,7 @@
 #include "graph/gen/powerlaw.hpp"
 #include "graph/gen/random.hpp"
 #include "graph/gen/special.hpp"
-#include "par/detail/frontier.hpp"
+#include "par/detail/driver.hpp"
 #include "par/runner.hpp"
 
 namespace gcg {
@@ -27,18 +25,16 @@ constexpr unsigned kThreadCounts[] = {1u, 2u, 8u};
 struct NamedGraph {
   const char* name;
   Csr graph;
-  bool has_hubs;  ///< some vertex clears the auto hub threshold
 };
 
 // The star's center has degree 20000 and K(8, 3000)'s left side degree
-// 3000, both above the 2048 floor (their average degrees are ~2 and ~16).
-// RMAT is skewed but its largest degree stays under the floor, so it
-// covers the edge-balanced split without hubs.
+// 3000, far above their average degrees (~2 and ~16). RMAT is skewed but
+// its largest degree stays under 2048.
 std::vector<NamedGraph> parity_graphs() {
   std::vector<NamedGraph> out;
-  out.push_back({"star", make_star(20'000), true});
-  out.push_back({"bipartite", make_complete_bipartite(8, 3000), true});
-  out.push_back({"rmat", make_rmat(12, 8, {}, 99), false});
+  out.push_back({"star", make_star(20'000)});
+  out.push_back({"bipartite", make_complete_bipartite(8, 3000)});
+  out.push_back({"rmat", make_rmat(12, 8, {}, 99)});
   return out;
 }
 
@@ -53,13 +49,11 @@ par::ParOptions opts_for(unsigned threads, std::uint64_t seed = 1) {
 
 TEST(ScheduleParityTest, JplIsInvariantAcrossThreadsAndHubs) {
   // The 1-thread run is the reference; every wider team must reproduce
-  // its colors AND iteration count exactly, hubs or not. Jpl never runs
-  // cooperative hub passes.
+  // its colors AND iteration count exactly, hubs or not.
   for (const NamedGraph& tc : parity_graphs()) {
     const par::ParRun ref =
         par::run_par_coloring(tc.graph, par::ParAlgorithm::kJpl, opts_for(1));
     ASSERT_TRUE(check::is_valid_coloring(tc.graph, ref.colors)) << tc.name;
-    EXPECT_EQ(ref.hub_vertices, 0u) << tc.name;
 
     for (unsigned threads : kThreadCounts) {
       const par::ParRun run = par::run_par_coloring(
@@ -67,23 +61,21 @@ TEST(ScheduleParityTest, JplIsInvariantAcrossThreadsAndHubs) {
       EXPECT_EQ(run.colors, ref.colors) << tc.name << "/" << threads << "t";
       EXPECT_EQ(run.iterations, ref.iterations)
           << tc.name << "/" << threads << "t";
-      EXPECT_EQ(run.hub_vertices, 0u) << tc.name << "/" << threads << "t";
     }
   }
 }
 
 TEST(ScheduleParityTest, OneThreadSpeculativeStaysSequentialOnHubGraphs) {
   // The 1-thread speculative ≡ sequential-greedy contract must hold on
-  // inputs with hubs: the hub path is defined to disengage on one thread
-  // precisely to keep the natural processing order.
+  // inputs with hubs: one worker claims the edge-balanced chunks in
+  // ascending order, so the natural processing order is kept.
   std::vector<NamedGraph> graphs = parity_graphs();
-  graphs.push_back({"ba", make_barabasi_albert(4000, 6, 21), false});
+  graphs.push_back({"ba", make_barabasi_albert(4000, 6, 21)});
   for (const NamedGraph& tc : graphs) {
     const SeqColoring seq = greedy_color(tc.graph, GreedyOrder::kNatural);
     const par::ParRun run = par::run_par_coloring(
         tc.graph, par::ParAlgorithm::kSpeculative, opts_for(1));
     EXPECT_EQ(run.colors, seq.colors) << tc.name;
-    EXPECT_EQ(run.hub_vertices, 0u) << tc.name;
   }
 }
 
@@ -123,69 +115,6 @@ INSTANTIATE_TEST_SUITE_P(AllParAlgorithms, ScheduleValidityTest,
                            return std::string(
                                par_algorithm_name(param_info.param));
                          });
-
-// --- hub engagement ----------------------------------------------------------
-
-TEST(ScheduleHubTest, HubPathEngagesAndMatchesHubOffColoring) {
-  // The star's center and K(8, 3000)'s left side clear the auto
-  // threshold, so at 4 threads speculative's cooperative path must
-  // actually run (run.hub_vertices counts hub phase visits) and still
-  // produce a valid coloring. Jpl on the same inputs reproduces the
-  // 1-thread coloring exactly.
-  for (const NamedGraph& tc : parity_graphs()) {
-    if (!tc.has_hubs) continue;
-    const par::ParRun hub = par::run_par_coloring(
-        tc.graph, par::ParAlgorithm::kSpeculative, opts_for(4));
-    EXPECT_GT(hub.hub_vertices, 0u) << tc.name;
-    EXPECT_TRUE(check::is_valid_coloring(tc.graph, hub.colors)) << tc.name;
-
-    const par::ParRun four =
-        par::run_par_coloring(tc.graph, par::ParAlgorithm::kJpl, opts_for(4));
-    const par::ParRun one =
-        par::run_par_coloring(tc.graph, par::ParAlgorithm::kJpl, opts_for(1));
-    EXPECT_EQ(four.colors, one.colors) << tc.name;
-  }
-}
-
-TEST(ScheduleHubTest, HubPathStaysOffOnOneThread) {
-  const Csr g = make_star(20'000);
-  const par::ParRun run =
-      par::run_par_coloring(g, par::ParAlgorithm::kSpeculative, opts_for(1));
-  EXPECT_EQ(run.hub_vertices, 0u);
-  EXPECT_TRUE(check::is_valid_coloring(g, run.colors));
-}
-
-TEST(ScheduleHubTest, AutoThresholdIsTheOnlyHubRule) {
-  // make_plan turns hubs on iff workers > 1 and
-  // max_degree > max(2048, 16 * avg_degree). K(100, 3000) has degree-3000
-  // vertices above the floor but under 16x its ~194 average degree.
-  const struct {
-    const char* name;
-    Csr graph;
-    bool hubs_with_a_team;
-  } cases[] = {
-      {"star", make_star(20'000), true},
-      {"bipartite-8", make_complete_bipartite(8, 3000), true},
-      {"bipartite-100", make_complete_bipartite(100, 3000), false},
-      {"rmat", make_rmat(12, 8, {}, 99), false},
-      {"gnm", make_erdos_renyi_gnm(3000, 24000, 5), false},
-  };
-  for (const auto& tc : cases) {
-    const double avg = tc.graph.avg_degree();
-    const auto threshold =
-        static_cast<vid_t>(std::max(2048.0, 16.0 * avg));
-    for (unsigned workers : kThreadCounts) {
-      const par::detail::SchedulePlan plan =
-          par::detail::make_plan(tc.graph, workers);
-      EXPECT_EQ(plan.hub_threshold, threshold) << tc.name;
-      EXPECT_EQ(plan.hubs,
-                workers > 1 && tc.graph.max_degree() > threshold)
-          << tc.name << "/" << workers;
-      EXPECT_EQ(plan.hubs, workers > 1 && tc.hubs_with_a_team)
-          << tc.name << "/" << workers;
-    }
-  }
-}
 
 // --- bitset first-fit scratch ------------------------------------------------
 
