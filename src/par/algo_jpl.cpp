@@ -65,15 +65,14 @@ void run_jpl(DriverState& st) {
 
   // pending[v]: higher-priority neighbours of v still uncolored.
   // level[v]: length of the longest priority chain ending at v, set when
-  // v is colored. Both are first-touched by the count pass.
+  // v is colored. The count pass initializes both.
   const auto pending = std::make_unique_for_overwrite<std::uint32_t[]>(n);
   const auto level = std::make_unique_for_overwrite<std::uint32_t[]>(n);
   // Every vertex is pushed exactly once per run, so n pushes can never
   // overflow a deque; the pages past what a worker pushes stay untouched.
   StealPool<vid_t> ready(workers, n);
-  ready.set_worker_nodes(st.pool.worker_nodes());
-  // Each worker constructs (first-touches) its own scratch; the barrier
-  // publishes the pointers.
+  // Each worker allocates its own scratch, so one worker's mask never
+  // shares a cache line with another's; the barrier publishes the pointers.
   std::vector<std::unique_ptr<FirstFitScratch>> scratch(workers);
 
   st.pool.run([&](unsigned w) {
@@ -129,7 +128,7 @@ void run_jpl(DriverState& st) {
           const vid_t v = *next;
           // Lower-priority neighbours are uncolored until v's decrements
           // below, so this reads a stable neighbourhood.
-          store_color(st.colors[v], ff.first_fit(g, st.colors.cspan(), v));
+          store_color(st.colors[v], ff.first_fit(g, st.colors, v));
           std::uint32_t lv = 0;
           for (vid_t u : g.neighbors(v)) {
             if (outranks(u, v)) lv = std::max(lv, level[u]);

@@ -37,14 +37,14 @@ std::uint64_t edge_grain(std::uint64_t arcs, std::uint32_t n) {
 void run_speculative(DriverState& st) {
   const vid_t n = st.g.num_vertices();
   if (n == 0) return;
-  // Each worker constructs (first-touches) its own scratch so forbidden
-  // masks live on the worker's node; the barrier publishes the pointers.
+  // Each worker allocates its own scratch, so one worker's mask never
+  // shares a cache line with another's; the barrier publishes the pointers.
   std::vector<std::unique_ptr<FirstFitScratch>> scratch(st.pool.size());
   st.pool.run([&](unsigned w) {
     scratch[w] = std::make_unique<FirstFitScratch>(st.g.max_degree());
   });
   std::uint32_t round = 1;
-  FirstTouchArray<std::uint32_t> active(st.pool, n, round);
+  std::vector<std::uint32_t> active(n, round);
   const std::uint64_t* offsets = st.g.row_offsets().data();
   const std::uint64_t grain = edge_grain(st.g.num_arcs(), n);
   std::uint32_t remaining = n;
@@ -62,8 +62,7 @@ void run_speculative(DriverState& st) {
           for (vid_t v = b; v < e; ++v) {
             if (active[v] != round) continue;
             store_color(st.colors[v],
-                        scratch[w]->first_fit(st.g, st.colors.cspan(), v,
-                                              st.stamp_hint(v)));
+                        scratch[w]->first_fit(st.g, st.colors, v));
             ++seen;
           }
           ws.vertices += seen;

@@ -41,15 +41,12 @@ void run_steal(DriverState& st) {
   std::vector<vid_t> frontier(n);
   std::iota(frontier.begin(), frontier.end(), vid_t{0});
   std::vector<vid_t> next(n);
-  FirstTouchArray<std::uint8_t> flags(st.pool, n, std::uint8_t{0});
+  std::vector<std::uint8_t> flags(n, 0);
   std::uint32_t fsize = n;
 
   StealPool<Chunk> spool(workers);
-  // Same-node deques are preferred victims (never changes the coloring —
-  // flags are per-vertex and the commit phases are schedule-independent).
-  spool.set_worker_nodes(st.pool.worker_nodes());
-  // Each worker constructs (first-touches) its own scratch so forbidden
-  // masks live on the worker's node; the barrier publishes the pointers.
+  // Each worker allocates its own scratch, so one worker's mask never
+  // shares a cache line with another's; the barrier publishes the pointers.
   std::vector<std::unique_ptr<FirstFitScratch>> scratch(workers);
   st.pool.run([&](unsigned w) {
     scratch[w] = std::make_unique<FirstFitScratch>(st.g.max_degree());
@@ -109,8 +106,7 @@ void run_steal(DriverState& st) {
       for (std::uint32_t i = b; i < e; ++i) {
         const vid_t v = frontier[i];
         if (flags[v] & kFlagMax) {
-          const color_t c =
-              scratch[w]->first_fit(st.g, st.colors.cspan(), v, st.stamp_hint(v));
+          const color_t c = scratch[w]->first_fit(st.g, st.colors, v);
           store_color(st.colors[v], c);
           wmax[w] = std::max(wmax[w], c + 1);
         }
@@ -133,8 +129,7 @@ void run_steal(DriverState& st) {
         if (flags[v] & kFlagMax) continue;
         color_t c;
         if (use_min && (flags[v] & kFlagMin) &&
-            (c = scratch[w]->first_fit(st.g, st.colors.cspan(), v,
-                                       st.stamp_hint(v))) < palette) {
+            (c = scratch[w]->first_fit(st.g, st.colors, v)) < palette) {
           store_color(st.colors[v], c);
         } else {
           survivors.push_back(v);

@@ -13,10 +13,8 @@ unsigned ThreadPool::default_threads() {
   return hc == 0 ? 1 : hc;
 }
 
-ThreadPool::ThreadPool(unsigned threads)
-    : topo_(numa::detect_topology()) {
+ThreadPool::ThreadPool(unsigned threads) {
   const unsigned total = threads == 0 ? default_threads() : threads;
-  worker_nodes_ = numa::assign_worker_nodes(total, topo_);
   helpers_.reserve(total - 1);
   for (unsigned w = 1; w < total; ++w) {
     helpers_.emplace_back([this, w] { helper_loop(w); });
@@ -33,10 +31,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::helper_loop(unsigned worker) {
-  // Pin helpers (never the caller) to their node's CPUs so the slices
-  // they first-touch stay node-local; a no-op off real multi-node
-  // machines (pin_current_thread_to_node refuses unless topo_.real).
-  numa::pin_current_thread_to_node(topo_, worker_nodes_[worker]);
   std::uint64_t seen = 0;
   while (true) {
     const std::function<void(unsigned)>* job = nullptr;

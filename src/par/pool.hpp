@@ -3,17 +3,10 @@
 // always worker 0, so a 1-thread pool runs everything inline — that is
 // what makes the 1-thread par run bit-identical to a sequential execution.
 //
-// NUMA: at construction the pool discovers the machine topology
-// (util/numa.hpp) and assigns workers to nodes in contiguous blocks
-// proportional to node CPU counts. On a genuine multi-node machine the
-// helper threads pin themselves to their node's CPU set (the caller,
-// worker 0, is never pinned — the pool must not change its creator's
-// affinity), so the first-touch arrays of par/detail/arena.hpp land
-// node-local. On single-node machines — or under the
-// GCG_NUMA_FAKE_NODES test override — nothing is pinned and behavior is
-// identical to a topology-oblivious pool. The node map never affects
-// what any algorithm computes, only where its memory lives and (via
-// StealPool::set_worker_nodes) which victims a thief prefers.
+// The pool is topology-oblivious: helpers are plain std::threads with no
+// affinity, and workers differ only in their index. The paper's two
+// load-balancing fixes — edge-balanced splits (parallel_for_edges) and
+// work stealing (StealPool) — both assume one shared memory.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +15,6 @@
 #include <vector>
 
 #include "util/narrow.hpp"
-#include "util/numa.hpp"
 #include "util/sync.hpp"
 
 namespace gcg::par {
@@ -69,19 +61,9 @@ class ThreadPool {
   /// hardware_concurrency(), never 0.
   static unsigned default_threads();
 
-  /// NUMA node each worker belongs to (size() entries, node-contiguous).
-  const std::vector<unsigned>& worker_nodes() const { return worker_nodes_; }
-  unsigned node_of(unsigned worker) const { return worker_nodes_[worker]; }
-  unsigned num_nodes() const {
-    return narrow<unsigned>(topo_.num_nodes());
-  }
-  const numa::Topology& topology() const { return topo_; }
-
  private:
   void helper_loop(unsigned worker);
 
-  numa::Topology topo_;
-  std::vector<unsigned> worker_nodes_;
   std::vector<std::thread> helpers_;
   sync::Mutex mu_;
   sync::CondVar start_cv_;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "coloring/priorities.hpp"
+#include "par/detail/driver.hpp"
 #include "par/pool.hpp"
 #include "util/expect.hpp"
 #include "util/narrow.hpp"
@@ -22,21 +23,6 @@ bool needs_fix(const Csr& g, std::span<const color_t> colors, vid_t v) {
     if (colors[u] == c) return true;
   }
   return false;
-}
-
-/// Smallest color not used by any colored neighbour of v.
-color_t first_fit(const Csr& g, std::span<const color_t> colors, vid_t v,
-                  std::vector<std::uint8_t>& scratch) {
-  const vid_t deg = g.degree(v);
-  scratch.assign(deg + 1u, 0);
-  for (vid_t u : g.neighbors(v)) {
-    const color_t c = colors[u];
-    if (c >= 0 && to_unsigned(c) <= deg) scratch[to_unsigned(c)] = 1;
-  }
-  for (vid_t c = 0; c <= deg; ++c) {
-    if (!scratch[c]) return narrow<color_t>(c);
-  }
-  return narrow<color_t>(deg + 1);  // unreachable: deg+1 slots, deg marks
 }
 
 }  // namespace
@@ -64,7 +50,11 @@ RepairRun repair_subset(const Csr& g, std::span<color_t> colors,
   std::sort(frontier.begin(), frontier.end());
 
   std::vector<vid_t> winners;
-  std::vector<std::uint8_t> scratch;
+  // First-fit scratch: one for the inline path, one per worker when the
+  // winners recolor on the pool.
+  std::vector<detail::FirstFitScratch> scratch(
+      opts.pool != nullptr ? opts.pool->size() : 1,
+      detail::FirstFitScratch(g.max_degree()));
   while (!frontier.empty() && run.rounds < opts.max_rounds) {
     ++run.rounds;
 
@@ -87,15 +77,14 @@ RepairRun repair_subset(const Csr& g, std::span<color_t> colors,
     if (opts.pool != nullptr && winners.size() > 1) {
       opts.pool->parallel_for(
           narrow<std::uint32_t>(winners.size()), 64,
-          [&](std::uint32_t b, std::uint32_t e, unsigned) {
-            std::vector<std::uint8_t> local_scratch;
+          [&](std::uint32_t b, std::uint32_t e, unsigned w) {
             for (std::uint32_t i = b; i < e; ++i) {
               const vid_t v = winners[i];
-              colors[v] = first_fit(g, colors, v, local_scratch);
+              colors[v] = scratch[w].first_fit(g, colors, v);
             }
           });
     } else {
-      for (vid_t v : winners) colors[v] = first_fit(g, colors, v, scratch);
+      for (vid_t v : winners) colors[v] = scratch[0].first_fit(g, colors, v);
     }
     run.recolored += winners.size();
 

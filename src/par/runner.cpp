@@ -48,7 +48,7 @@ ParRun run_here(ThreadPool& pool, const Csr& g, ParAlgorithm algorithm,
   }
   const auto t1 = std::chrono::steady_clock::now();
   st.run.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  st.run.colors.assign(st.colors.begin(), st.colors.end());
+  st.run.colors = std::move(st.colors);
   st.run.num_colors = count_colors(st.run.colors);
 
   std::vector<double> busy;

@@ -13,22 +13,6 @@ StealPool<T>::StealPool(unsigned workers, std::uint32_t capacity) {
   for (unsigned w = 0; w < workers; ++w) {
     slots_.push_back(std::make_unique<Slot>(capacity));
   }
-  set_worker_nodes({});
-}
-
-template <class T>
-void StealPool<T>::set_worker_nodes(const std::vector<unsigned>& nodes) {
-  const unsigned n = workers();
-  const bool known = nodes.size() == n;  // otherwise: one node
-  local_victims_.assign(n, {});
-  remote_victims_.assign(n, {});
-  for (unsigned thief = 0; thief < n; ++thief) {
-    for (unsigned step = 1; step < n; ++step) {
-      const unsigned victim = (thief + step) % n;
-      const bool local = !known || nodes[victim] == nodes[thief];
-      (local ? local_victims_ : remote_victims_)[thief].push_back(victim);
-    }
-  }
 }
 
 template <class T>
@@ -97,24 +81,19 @@ std::optional<T> StealPool<T>::try_victim(unsigned thief, unsigned victim) {
 }
 
 template <class T>
-std::optional<T> StealPool<T>::steal_from(
-    unsigned thief, Xoshiro256ss& rng, const std::vector<unsigned>& victims) {
-  // A few uniform probes, like the simulated queues' bounded retry.
-  const auto n = narrow<unsigned>(victims.size());
-  for (unsigned tries = 0; tries < n; ++tries) {
-    const unsigned victim = victims[narrow<unsigned>(rng.bounded(n))];
-    if (auto c = try_victim(thief, victim)) return c;
-  }
-  return std::nullopt;
-}
-
-template <class T>
 std::optional<T> StealPool<T>::steal(unsigned thief, Xoshiro256ss& rng) {
   stress_point(thief);  // schedule-perturbation hook (no-op unless installed)
   ++slots_[thief]->stats.steal_attempts;
-  // Node-local pass first; remote victims only when it comes up empty.
-  if (auto c = steal_from(thief, rng, local_victims_[thief])) return c;
-  return steal_from(thief, rng, remote_victims_[thief]);
+  // A few uniform probes over the other workers, like the simulated
+  // queues' bounded retry. The offset 1 + bounded(w - 1) never names the
+  // thief itself.
+  const unsigned w = workers();
+  for (unsigned tries = 1; tries < w; ++tries) {
+    const unsigned victim =
+        (thief + 1 + narrow<unsigned>(rng.bounded(w - 1))) % w;
+    if (auto c = try_victim(thief, victim)) return c;
+  }
+  return std::nullopt;
 }
 
 template <class T>

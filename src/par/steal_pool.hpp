@@ -50,23 +50,15 @@ class StealPool {
 
   unsigned workers() const { return narrow<unsigned>(slots_.size()); }
 
-  /// Installs a NUMA node id per worker (ThreadPool::worker_nodes()).
-  /// Every steal probes the thief's same-node victims first and falls
-  /// back to the remote ones only when the local pass misses — stolen
-  /// chunks then mostly touch node-local frontier and color pages.
-  /// Victim *order* never affects what kSteal computes (flags are
-  /// per-vertex, commits are schedule-independent) or what kJpl computes
-  /// (first-fit in priority order), only steal latency.
-  /// Until called (or given a list of the wrong size) every worker counts
-  /// as one node, so every other worker is a local victim.
-  void set_worker_nodes(const std::vector<unsigned>& nodes);
-
   /// Owner pop from the bottom of `worker`'s own deque.
   std::optional<T> pop_own(unsigned worker);
 
-  /// One steal attempt: uniform random probes over the thief's local
-  /// victims, then over its remote ones. nullopt = every probe found an
-  /// empty deque or lost its race; retry while !drained().
+  /// One steal attempt: workers()-1 uniform random probes over the other
+  /// workers. nullopt = every probe found an empty deque or lost its
+  /// race (always, on a one-worker pool); retry while !drained().
+  /// Victim order never affects what kSteal computes (flags are
+  /// per-vertex, commits are schedule-independent) or what kJpl computes
+  /// (first-fit in priority order), only steal latency.
   std::optional<T> steal(unsigned thief, Xoshiro256ss& rng);
 
   /// pop_own, falling back to one steal attempt.
@@ -96,14 +88,8 @@ class StealPool {
     StealStats stats;
   };
   std::optional<T> try_victim(unsigned thief, unsigned victim);
-  std::optional<T> steal_from(unsigned thief, Xoshiro256ss& rng,
-                              const std::vector<unsigned>& victims);
 
   std::vector<std::unique_ptr<Slot>> slots_;
-  /// Per-thief victim lists in ring order from the thief, split into
-  /// same-node and remote (remote lists are empty on one node).
-  std::vector<std::vector<unsigned>> local_victims_;
-  std::vector<std::vector<unsigned>> remote_victims_;
   alignas(64) sync::atomic<std::int64_t> remaining_{0};
   bool counted_ = false;  ///< fill()ed: pops and steals count down remaining_
 };

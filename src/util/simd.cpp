@@ -72,21 +72,6 @@ __attribute__((target("avx2"))) void clear_words_avx2(std::uint64_t* words,
   for (; k < nwords; ++k) words[k] = 0;
 }
 
-__attribute__((target("avx2"))) void or_words_avx2(std::uint64_t* dst,
-                                                   const std::uint64_t* src,
-                                                   std::size_t nwords) {
-  std::size_t k = 0;
-  for (; k + 4 <= nwords; k += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + k));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + k));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + k),
-                        _mm256_or_si256(a, b));
-  }
-  for (; k < nwords; ++k) dst[k] |= src[k];
-}
-
 #endif  // GCG_SIMD_X86
 
 }  // namespace
@@ -156,17 +141,6 @@ void clear_words(std::uint64_t* words, std::size_t nwords) {
   }
 #endif
   for (std::size_t k = 0; k < nwords; ++k) words[k] = 0;
-}
-
-void or_words(std::uint64_t* dst, const std::uint64_t* src,
-              std::size_t nwords) {
-#if GCG_SIMD_X86
-  if (active_level() == Level::kAvx2 && nwords >= 4) {
-    or_words_avx2(dst, src, nwords);
-    return;
-  }
-#endif
-  for (std::size_t k = 0; k < nwords; ++k) dst[k] |= src[k];
 }
 
 }  // namespace gcg::simd

@@ -12,7 +12,7 @@
 //    both paths on identical inputs and assert bit-identical results.
 //
 // The kernels operate on plain uint64_t words and are purely word-level
-// (clear, OR, first-not-full-word search). They deliberately do NOT touch
+// (clear, first-not-full-word search). They deliberately do NOT touch
 // per-vertex color loads: neighbour colors are read through relaxed
 // std::atomic_ref (benign-race contract of the speculative kernel), and a
 // vector gather would turn those into non-atomic racy loads.
@@ -56,9 +56,5 @@ std::size_t first_not_full_word(const std::uint64_t* words,
 
 /// words[0..nwords) = 0.
 void clear_words(std::uint64_t* words, std::size_t nwords);
-
-/// dst[i] |= src[i] for i in [0, nwords).
-void or_words(std::uint64_t* dst, const std::uint64_t* src,
-              std::size_t nwords);
 
 }  // namespace gcg::simd

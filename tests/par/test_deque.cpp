@@ -106,54 +106,36 @@ TEST(StealPoolTest, RandomStealingDrains) {
   EXPECT_EQ(got, 12u);
 }
 
-TEST(StealPoolTest, NodeAwareStealingDrains) {
-  // Two fake nodes, two workers each: the split victim lists must still
-  // hand out every chunk exactly once.
-  StealPool pool(4);
-  pool.set_worker_nodes({0, 0, 1, 1});
-  pool.fill(deal_round_robin(make_chunks(160, 10), 4));
-  Xoshiro256ss rng(5);
-  std::uint32_t got = 0;
-  while (!pool.drained()) {
-    if (pool.acquire(0, rng)) ++got;
+TEST(StealPoolTest, ThiefReachesEveryOtherWorker) {
+  // Every other worker is a possible victim and the thief never probes
+  // itself: with one chunk on the victim and one on the thief's own
+  // deque, a steal can only ever return the victim's.
+  const Chunk own{0, 10}, theirs{10, 20};
+  for (unsigned w : {2u, 3u, 4u}) {
+    for (unsigned victim = 1; victim < w; ++victim) {
+      StealPool pool(w);
+      std::vector<std::vector<Chunk>> per_worker(w);
+      per_worker[0] = {own};
+      per_worker[victim] = {theirs};
+      pool.fill(per_worker);
+      Xoshiro256ss rng(w * 10 + victim);
+      std::optional<Chunk> got;
+      for (int tries = 0; tries < 256 && !got; ++tries) {
+        got = pool.steal(0, rng);
+      }
+      ASSERT_TRUE(got.has_value()) << "w=" << w << " victim=" << victim;
+      EXPECT_EQ(*got, theirs) << "w=" << w << " victim=" << victim;
+      EXPECT_FALSE(pool.drained());  // the thief's own chunk is still there
+    }
   }
-  EXPECT_EQ(got, 16u);
-}
 
-TEST(StealPoolTest, NodeAwareStealsLocalVictimFirst) {
-  // Thief 0 shares node 0 with worker 1; workers 2 and 3 are remote. With
-  // both a local and a remote victim loaded, the first steal must take
-  // the local one; only once it is empty may a steal cross nodes.
-  StealPool pool(4);
-  pool.set_worker_nodes({0, 0, 1, 1});
-  const Chunk local{0, 10}, remote{10, 20};
-  pool.fill({{}, {local}, {remote}, {}});
-  Xoshiro256ss rng(3);
-  const auto first = pool.steal(0, rng);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(*first, local);
-  // Random probes over {2, 3} may all hit the empty deque; retry.
-  std::optional<Chunk> second;
-  for (int tries = 0; tries < 64 && !second; ++tries) {
-    second = pool.steal(0, rng);
-  }
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(*second, remote);
-  EXPECT_TRUE(pool.drained());
-}
-
-TEST(StealPoolTest, SingleNodeAssignmentLeavesBehaviorUnchanged) {
-  // All workers on one node: every other worker is a local victim, the
-  // same victim space as never calling set_worker_nodes.
-  StealPool pool(3);
-  pool.set_worker_nodes({0, 0, 0});
-  pool.fill(deal_round_robin(make_chunks(90, 10), 3));
-  Xoshiro256ss rng(9);
-  std::uint32_t got = 0;
-  while (!pool.drained()) {
-    if (pool.acquire(1, rng)) ++got;
-  }
-  EXPECT_EQ(got, 9u);
+  // One worker: nobody to steal from, not even its own deque.
+  StealPool pool(1);
+  pool.fill({{own}});
+  Xoshiro256ss rng(1);
+  EXPECT_FALSE(pool.steal(0, rng).has_value());
+  EXPECT_EQ(pool.stats().steal_attempts, 1u);
+  EXPECT_EQ(pool.pop_own(0), own);
 }
 
 TEST(StealPoolTest, ConcurrentWorkersDeliverEveryChunkOnce) {

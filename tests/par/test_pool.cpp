@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -140,35 +138,6 @@ TEST(ThreadPoolTest, ParallelForEdgesHandlesAllZeroAndEmpty) {
                             ++calls;  // must not run
                           });
   EXPECT_EQ(calls, 0);
-}
-
-TEST(ThreadPoolTest, WorkerNodesCoverEveryWorkerWithinTopology) {
-  ThreadPool pool(5);
-  const auto& nodes = pool.worker_nodes();
-  ASSERT_EQ(nodes.size(), pool.size());
-  for (unsigned w = 0; w < pool.size(); ++w) {
-    EXPECT_EQ(pool.node_of(w), nodes[w]);
-    EXPECT_LT(nodes[w], pool.num_nodes());
-  }
-  EXPECT_GE(pool.num_nodes(), 1u);
-}
-
-TEST(ThreadPoolTest, FakeNumaTopologySpreadsWorkersAcrossNodes) {
-  // GCG_NUMA_FAKE_NODES is read at pool construction; a fabricated 2-node
-  // topology must split the workers without pinning (topology not real)
-  // and without changing what the pool computes.
-  setenv("GCG_NUMA_FAKE_NODES", "2", 1);
-  ThreadPool pool(4);
-  unsetenv("GCG_NUMA_FAKE_NODES");
-  EXPECT_EQ(pool.num_nodes(), 2u);
-  EXPECT_FALSE(pool.topology().real);
-  const auto& nodes = pool.worker_nodes();
-  EXPECT_EQ(std::count(nodes.begin(), nodes.end(), 0u), 2);
-  EXPECT_EQ(std::count(nodes.begin(), nodes.end(), 1u), 2);
-
-  std::atomic<int> ran{0};
-  pool.run([&](unsigned) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 4);
 }
 
 }  // namespace
