@@ -5,7 +5,8 @@
 // a sharded multi-process worker fleet.
 //
 // Exit codes (stable, for scripts/CI): 0 = valid coloring produced,
-// 1 = error (unreadable graph, bad flag value, ...), 2 = usage,
+// 1 = error (unreadable graph, bad flag value, ...), 2 = usage (no graph,
+// an unknown flag or backend),
 // 3 = the produced coloring FAILED validity verification.
 //
 //   ./examples/color_tool graph.mtx [--backend sim|par|shard]
@@ -220,6 +221,21 @@ int main(int argc, char** argv) {
       std::cerr << ' ' << par::par_algorithm_name(a);
     }
     std::cerr << '\n';
+    return 2;
+  }
+  // Every flag some backend reads. Marking them read leaves unused() with
+  // the typos (say --algo for --algorithm), which would otherwise be
+  // ignored silently.
+  for (const char* name :
+       {"backend", "algorithm", "threads", "shards", "workers", "rounds",
+        "in-process", "order", "out", "seed", "stats", "store"}) {
+    cli.has(name);
+  }
+  if (const std::vector<std::string> unknown = cli.unused();
+      !unknown.empty()) {
+    for (const std::string& name : unknown) {
+      std::cerr << "error: unknown flag --" << name << '\n';
+    }
     return 2;
   }
 

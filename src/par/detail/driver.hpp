@@ -92,18 +92,34 @@ struct FirstFitScratch {
 
   /// Smallest color unused by v's neighbours (read through load_color).
   color_t first_fit(const Csr& g, std::span<const color_t> colors, vid_t v) {
-    // At most degree(v) colors are forbidden, so the answer is at most
-    // degree(v) and neighbour colors beyond that bound are irrelevant.
-    const std::size_t limit = std::size_t{g.degree(v)} + 1;
+    const std::size_t limit = clear(g.degree(v));
+    for (vid_t u : g.neighbors(v)) mark(load_color(colors[u]), limit);
+    return first_zero(limit);
+  }
+
+  /// First half of first_fit, for a vertex of degree `degree`: empties
+  /// the mask and returns the color bound, degree + 1. At most `degree`
+  /// colors are forbidden, so the answer is below the bound and neighbour
+  /// colors at or beyond it are irrelevant.
+  std::size_t clear(vid_t degree) {
+    const std::size_t limit = std::size_t{degree} + 1;
+    simd::clear_words(words.data(), (limit + 63) / 64);
+    return limit;
+  }
+
+  /// Forbids color c, if it is below `limit`.
+  void mark(color_t c, std::size_t limit) {
+    // kUncolored (-1) wraps to UINT32_MAX, so one compare rejects both
+    // uncolored neighbours and colors too large to matter.
+    // lossy: see the comment above — the -1 wrap is the mechanism
+    const auto x = narrow_cast<std::uint32_t>(c);
+    if (x < limit) words[x >> 6] |= std::uint64_t{1} << (x & 63);
+  }
+
+  /// Second half of first_fit: the smallest color not marked since
+  /// clear() returned `limit`.
+  color_t first_zero(std::size_t limit) const {
     const std::size_t nw = (limit + 63) / 64;
-    simd::clear_words(words.data(), nw);
-    for (vid_t u : g.neighbors(v)) {
-      // kUncolored (-1) wraps to UINT32_MAX, so one compare rejects both
-      // uncolored neighbours and colors too large to matter.
-      // lossy: see the comment above — the -1 wrap is the mechanism
-      const auto c = narrow_cast<std::uint32_t>(load_color(colors[u]));
-      if (c < limit) words[c >> 6] |= std::uint64_t{1} << (c & 63);
-    }
     // A zero bit below `limit` always exists: at most limit-1 neighbours
     // marked bits among limit candidates.
     const std::size_t k = simd::first_not_full_word(words.data(), nw);

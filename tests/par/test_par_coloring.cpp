@@ -103,7 +103,8 @@ TEST(ParDeterminismTest, JplEqualsGreedyInPriorityOrder) {
   const SuiteOptions sopts{.scale = 0.05, .seed = 4};
   for (const SuiteEntry& entry : make_suite(sopts)) {
     for (PriorityMode mode :
-         {PriorityMode::kRandom, PriorityMode::kDegreeBiased}) {
+         {PriorityMode::kRandom, PriorityMode::kDegreeBiased,
+          PriorityMode::kNaturalOrder}) {
       const PriorityGreedy ref = greedy_in_priority_order(entry.graph, mode, 9);
       for (unsigned threads : {1u, 2u, 4u}) {
         par::ParOptions o = opts_with(threads, 9);
@@ -116,6 +117,41 @@ TEST(ParDeterminismTest, JplEqualsGreedyInPriorityOrder) {
         EXPECT_EQ(run.iterations, ref.depth)
             << entry.name << "/" << priority_mode_name(mode) << " @"
             << threads;
+      }
+    }
+  }
+}
+
+TEST(ParDeterminismTest, JplEqualsGreedyInPriorityOrderOnBatchShapes) {
+  // Shapes at the edges of the color pass's batches and successor
+  // buffer: one ready vertex at a time (path), every vertex ready at once
+  // in a count that is no multiple of a batch (isolated), a hub whose
+  // decrements walk nearly the whole graph (star), two sides of very
+  // different degree (bipartite) and one long chain (complete).
+  struct Case {
+    const char* name;
+    Csr graph;
+  };
+  const std::vector<Case> cases = {
+      {"path", make_path(5000)},
+      {"isolated", make_empty(1001)},
+      {"star", make_star(20000)},
+      {"bipartite", make_complete_bipartite(8, 3000)},
+      {"complete", make_complete(64)}};
+  for (const Case& c : cases) {
+    for (PriorityMode mode :
+         {PriorityMode::kRandom, PriorityMode::kDegreeBiased,
+          PriorityMode::kNaturalOrder}) {
+      const PriorityGreedy ref = greedy_in_priority_order(c.graph, mode, 3);
+      for (unsigned threads : {1u, 2u, 4u}) {
+        par::ParOptions o = opts_with(threads, 3);
+        o.priority = mode;
+        const par::ParRun run =
+            par::run_par_coloring(c.graph, par::ParAlgorithm::kJpl, o);
+        EXPECT_EQ(run.colors, ref.colors)
+            << c.name << "/" << priority_mode_name(mode) << " @" << threads;
+        EXPECT_EQ(run.iterations, ref.depth)
+            << c.name << "/" << priority_mode_name(mode) << " @" << threads;
       }
     }
   }
