@@ -9,15 +9,14 @@
 //                           [--queue 64] [--batch 8]
 //                           [--cache-graphs 16] [--cache-mb 1024]
 //                           [--mapped-cache-gb 256] [--no-mmap]
-//                           [--warmup N] [--hugepages]
 //                           [--preload g1,g2,...]
 //                           [--shard-workers 2] [--shard-threads 0]
 //                           [--shard-rounds 16] [--shards 4]
 //                           [--shard-in-process]
 //
 // .gbin v2 graphs are served zero-copy off the page cache via the mmap
-// store (disable with --no-mmap). --warmup N pre-touches mapped pages on
-// N threads at load; --hugepages asks for MAP_HUGETLB (best-effort).
+// store (disable with --no-mmap). A flag the server does not read is a
+// usage error: it exits 2 and names the flag before binding the socket.
 //
 // backend=shard jobs fan out to a fleet of shard_worker processes that
 // is spawned lazily on the first such job (--shard-workers 0 disables
@@ -108,11 +107,6 @@ int main(int argc, char** argv) {
   opts.scheduler.registry.max_mapped_bytes =
       static_cast<std::size_t>(cli.get_int("mapped-cache-gb", 256)) << 30;
   opts.scheduler.registry.mmap_store = !cli.get_bool("no-mmap");
-  opts.scheduler.registry.store.warmup_threads =
-      static_cast<unsigned>(cli.get_int("warmup", 0));
-  if (cli.get_bool("hugepages")) {
-    opts.scheduler.registry.store.map.huge_pages = true;
-  }
 
   const unsigned shard_workers =
       static_cast<unsigned>(cli.get_int("shard-workers", 2));
@@ -126,6 +120,20 @@ int main(int argc, char** argv) {
     bopts.in_process = cli.get_bool("shard-in-process");
     opts.scheduler.shard_backend = shard::make_shard_backend(bopts);
   }
+  const std::vector<std::string> preload = split_csv(cli.get("preload", ""));
+  // The --shard-* group goes unread with --shard-workers 0; marking it
+  // read leaves unused() with only the flags this binary never reads.
+  for (const char* name :
+       {"shard-threads", "shards", "shard-rounds", "shard-in-process"}) {
+    cli.has(name);
+  }
+  if (const std::vector<std::string> unknown = cli.unused();
+      !unknown.empty()) {
+    for (const std::string& name : unknown) {
+      std::cerr << "error: unknown flag --" << name << '\n';
+    }
+    return 2;
+  }
 
   try {
     svc::Server server(opts);
@@ -137,7 +145,7 @@ int main(int argc, char** argv) {
               << " shard-workers=" << shard_workers << "\n";
 
     // Warm the registry so first requests skip the load.
-    for (const std::string& spec : split_csv(cli.get("preload", ""))) {
+    for (const std::string& spec : preload) {
       try {
         server.scheduler().registry().acquire(spec);
         std::cout << "preloaded " << spec << '\n';

@@ -8,11 +8,13 @@
 //                           [--cache-graphs 4] [--cache-mb 1024]
 //                           [--no-mmap]
 //
-// Exits 0 on shutdown verb or SIGINT/SIGTERM, 2 on usage error.
+// Exits 0 on shutdown verb or SIGINT/SIGTERM, 2 on usage error (no
+// --socket, or a flag the worker does not read).
 #include <atomic>
 #include <csignal>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "shard/worker.hpp"
 #include "util/cli.hpp"
@@ -45,6 +47,13 @@ int main(int argc, char** argv) {
   wopts.registry.max_bytes =
       static_cast<std::size_t>(cli.get_int("cache-mb", 1024)) << 20;
   wopts.registry.mmap_store = !cli.get_bool("no-mmap");
+  if (const std::vector<std::string> unknown = cli.unused();
+      !unknown.empty()) {
+    for (const std::string& name : unknown) {
+      std::cerr << "shard_worker: unknown flag --" << name << '\n';
+    }
+    return 2;
+  }
 
   try {
     shard::WorkerServer ws(socket, wopts);

@@ -28,7 +28,6 @@ void run_steal(DriverState& st, bool min_too, bool enable_steal) {
   simgpu::PersistentOptions popts;
   popts.waves_per_cu = st.persistent_waves_per_cu();
   popts.cache = st.dev.l2();
-  const unsigned workers = cfg.num_cus * popts.waves_per_cu;
   // One queue per CU: all waves resident on a CU drain it together, and
   // stealing moves work between CUs — the imbalance that actually decides
   // the makespan. (Per-wave queues would leave ~1 chunk per queue.)

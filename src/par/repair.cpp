@@ -6,9 +6,7 @@
 
 #include "coloring/priorities.hpp"
 #include "par/detail/driver.hpp"
-#include "par/pool.hpp"
 #include "util/expect.hpp"
-#include "util/narrow.hpp"
 #include "util/rng.hpp"
 
 namespace gcg::par {
@@ -50,17 +48,13 @@ RepairRun repair_subset(const Csr& g, std::span<color_t> colors,
   std::sort(frontier.begin(), frontier.end());
 
   std::vector<vid_t> winners;
-  // First-fit scratch: one for the inline path, one per worker when the
-  // winners recolor on the pool.
-  std::vector<detail::FirstFitScratch> scratch(
-      opts.pool != nullptr ? opts.pool->size() : 1,
-      detail::FirstFitScratch(g.max_degree()));
+  detail::FirstFitScratch scratch(g.max_degree());
   while (!frontier.empty() && run.rounds < opts.max_rounds) {
     ++run.rounds;
 
     // Winners: candidates maximal under (hash, id) among their candidate
-    // neighbours — an independent set, so they recolor without races and
-    // the outcome is schedule-free.
+    // neighbours — an independent set, so the order they recolor in does
+    // not change the outcome.
     winners.clear();
     for (vid_t v : frontier) {
       const std::uint32_t pv = prio.u32(v);
@@ -74,18 +68,7 @@ RepairRun repair_subset(const Csr& g, std::span<color_t> colors,
       if (wins) winners.push_back(v);
     }
 
-    if (opts.pool != nullptr && winners.size() > 1) {
-      opts.pool->parallel_for(
-          narrow<std::uint32_t>(winners.size()), 64,
-          [&](std::uint32_t b, std::uint32_t e, unsigned w) {
-            for (std::uint32_t i = b; i < e; ++i) {
-              const vid_t v = winners[i];
-              colors[v] = scratch[w].first_fit(g, colors, v);
-            }
-          });
-    } else {
-      for (vid_t v : winners) colors[v] = scratch[0].first_fit(g, colors, v);
-    }
+    for (vid_t v : winners) colors[v] = scratch.first_fit(g, colors, v);
     run.recolored += winners.size();
 
     // A recolored vertex avoids every current neighbour color, so it is

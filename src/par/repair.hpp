@@ -9,12 +9,12 @@
 // impose no constraint. The fix order is Jones–Plassmann style — per
 // round, every conflicted subset vertex that wins the (hash, id)
 // priority among its conflicted subset neighbours recolors first-fit —
-// so the result depends only on (graph, colors, subset, seed), never on
-// thread count or timing. A vertex that recolors can never become
-// conflicted again within the same call (winners avoid the current
-// colors of ALL neighbours and no two adjacent vertices recolor in the
-// same round), so rounds are bounded by the longest decreasing priority
-// path through the subset — a handful in practice.
+// so the result depends only on (graph, colors, subset, seed). A vertex
+// that recolors can never become conflicted again within the same call
+// (winners avoid the current colors of ALL neighbours and no two
+// adjacent vertices recolor in the same round), so rounds are bounded by
+// the longest decreasing priority path through the subset — a handful in
+// practice.
 #pragma once
 
 #include <cstdint>
@@ -25,15 +25,9 @@
 
 namespace gcg::par {
 
-class ThreadPool;
-
 struct RepairOptions {
   std::uint64_t seed = 1;      ///< priority hash seed (losers-first order)
   unsigned max_rounds = 4096;  ///< safety cap; hit only on adversarial input
-  /// Optional pool: each round's winner set is an independent set, so
-  /// winners recolor in parallel without changing the result. Null runs
-  /// the rounds inline.
-  ThreadPool* pool = nullptr;
 };
 
 struct RepairRun {

@@ -1,13 +1,10 @@
 #include "store/mapped_graph.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
 
 #include "graph/io/io.hpp"
-#include "par/pool.hpp"
 #include "util/narrow.hpp"
 
 namespace gcg::store {
@@ -51,11 +48,10 @@ std::shared_ptr<const MappedGraph> MappedGraph::open(const std::string& path,
 
   if (opts.storage != OpenOptions::Storage::kHeap) {
     try {
-      out->mapping_ = Mapping::open(path, opts.map);
+      out->mapping_ = Mapping::open(path);
     } catch (const MappingError&) {
       // Graceful fallback: the file is there and readable, only the
       // mapping failed. kAuto degrades to the heap path below.
-      if (opts.storage == OpenOptions::Storage::kMapped) throw;
     }
   }
 
@@ -91,15 +87,6 @@ std::shared_ptr<const MappedGraph> MappedGraph::open(const std::string& path,
     out->graph_ = load_binary(in);  // owning; verifies checksums
     out->file_bytes_ = file_size_of(path);
   }
-
-  if (opts.warmup_threads > 0 && out->is_mapped()) {
-    if (opts.warmup_threads == 1) {
-      out->warmup(nullptr);
-    } else {
-      par::ThreadPool pool(opts.warmup_threads);
-      out->warmup(&pool);
-    }
-  }
   return out;
 }
 
@@ -110,37 +97,6 @@ ResidencyStats MappedGraph::residency() const {
   all.total_pages = (file_bytes_ + psz - 1) / psz;
   all.resident_pages = all.total_pages;  // the heap copy IS the residency
   return all;
-}
-
-std::size_t MappedGraph::warmup(par::ThreadPool* pool) const {
-  if (!mapping_) return 0;
-  const std::uint8_t* base = mapping_->data();
-  const std::size_t psz = Mapping::page_size();
-  const std::size_t bytes = mapping_->size();
-  const auto pages = narrow<std::uint32_t>((bytes + psz - 1) / psz);
-
-  // One byte per page is enough to fault it in; the running sum keeps
-  // the loop observable so it cannot be optimized to nothing.
-  std::atomic<std::uint64_t> sink{0};
-  auto touch = [&](std::uint32_t begin, std::uint32_t end) {
-    std::uint64_t local = 0;
-    for (std::uint32_t p = begin; p < end; ++p) local += base[p * psz];
-    sink.fetch_add(local);
-  };
-  if (pool != nullptr && pool->size() > 1 && pages > 1) {
-    const std::uint32_t grain = std::max<std::uint32_t>(64, pages / (pool->size() * 8));
-    pool->parallel_for(pages, grain,
-                       [&](std::uint32_t b, std::uint32_t e, unsigned) {
-                         touch(b, e);
-                       });
-  } else {
-    touch(0, pages);
-  }
-  return pages;
-}
-
-void MappedGraph::advise(Advice a) const {
-  if (mapping_) mapping_->advise(a);
 }
 
 std::shared_ptr<const Csr> graph_view(std::shared_ptr<const MappedGraph> g) {

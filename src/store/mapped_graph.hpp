@@ -24,36 +24,27 @@
 #include "store/format.hpp"
 #include "store/mapping.hpp"
 
-namespace gcg::par {
-class ThreadPool;
-}
-
 namespace gcg::store {
 
 struct OpenOptions {
   enum class Storage {
-    kAuto,    ///< mmap; fall back to a heap read if mapping fails
-    kMapped,  ///< mmap or throw (no silent fallback)
-    kHeap,    ///< ordinary read into owning vectors (for A/B tests)
+    kAuto,  ///< mmap; fall back to a heap read if mapping fails
+    kHeap,  ///< ordinary read into owning vectors (for A/B tests)
   };
   Storage storage = Storage::kAuto;
   /// Verify the per-section checksums on open. Off by default: the
-  /// verify faults in every page, which defeats lazy paging — turn it on
-  /// for untrusted files or in integrity sweeps. (Heap loads through
-  /// graph/io always verify; they touch every byte anyway.)
+  /// verify is a second full pass over both sections, on top of the CSR
+  /// validation every registry load runs — turn it on for untrusted
+  /// files or in integrity sweeps. (Heap loads through graph/io always
+  /// verify; they touch every byte anyway.)
   bool verify_checksums = false;
-  Mapping::Options map;  ///< madvise hint + huge-page attempt
-  /// > 0: touch every page right after open on this many threads
-  /// (1 = inline on the calling thread). Trades cold-start latency for
-  /// warm first queries — the shasta-style parallel warmup.
-  unsigned warmup_threads = 0;
 };
 
 class MappedGraph {
  public:
   /// Opens `path` (must be .gbin v2 — check with is_gbin_v2_file first
   /// when dispatching). Throws std::runtime_error on missing/corrupt
-  /// files; MappingError only when storage == kMapped and mmap failed.
+  /// files. A failed mmap never throws: it falls back to a heap read.
   static std::shared_ptr<const MappedGraph> open(const std::string& path,
                                                  const OpenOptions& opts = {});
 
@@ -63,9 +54,6 @@ class MappedGraph {
   const Csr& graph() const { return graph_; }
 
   bool is_mapped() const { return mapping_ != nullptr; }
-  bool used_huge_pages() const {
-    return mapping_ && mapping_->used_huge_pages();
-  }
   /// On-disk size — what a cache should charge for a mapped entry
   /// (its heap cost is ~sizeof(Csr)).
   std::size_t file_bytes() const { return file_bytes_; }
@@ -75,15 +63,6 @@ class MappedGraph {
   /// Page-cache residency of the mapped file (everything "resident" in
   /// heap mode — the copy is the residency).
   ResidencyStats residency() const;
-
-  /// Touches every page of both sections so later queries never fault.
-  /// Uses `pool` when given (pages are split across its workers),
-  /// otherwise runs inline. Returns the number of pages touched. No-op
-  /// in heap mode.
-  std::size_t warmup(par::ThreadPool* pool = nullptr) const;
-
-  /// Re-applies a paging hint (no-op in heap mode).
-  void advise(Advice a) const;
 
  private:
   MappedGraph() = default;

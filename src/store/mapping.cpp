@@ -15,18 +15,6 @@ namespace gcg::store {
 
 namespace {
 
-int advice_flag(Advice a) {
-  switch (a) {
-    case Advice::kWillNeed:
-      return MADV_WILLNEED;
-    case Advice::kRandom:
-      return MADV_RANDOM;
-    case Advice::kNormal:
-      break;
-  }
-  return MADV_NORMAL;
-}
-
 /// Closes the descriptor on every exit path out of open().
 struct ScopedFd {
   int fd = -1;
@@ -37,32 +25,7 @@ struct ScopedFd {
 
 }  // namespace
 
-const char* advice_name(Advice a) {
-  switch (a) {
-    case Advice::kWillNeed:
-      return "willneed";
-    case Advice::kRandom:
-      return "random";
-    case Advice::kNormal:
-      break;
-  }
-  return "normal";
-}
-
-Advice advice_from_name(const std::string& name) {
-  if (name == "normal") return Advice::kNormal;
-  if (name == "willneed") return Advice::kWillNeed;
-  if (name == "random") return Advice::kRandom;
-  throw std::invalid_argument("unknown madvise hint \"" + name +
-                              "\" (normal|willneed|random)");
-}
-
 std::shared_ptr<const Mapping> Mapping::open(const std::string& path) {
-  return open(path, Options{});
-}
-
-std::shared_ptr<const Mapping> Mapping::open(const std::string& path,
-                                             const Options& opts) {
   ScopedFd fd{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
   if (fd.fd < 0) {
     throw std::runtime_error("store: cannot open " + path + ": " +
@@ -78,20 +41,7 @@ std::shared_ptr<const Mapping> Mapping::open(const std::string& path,
   }
 
   const auto size = to_unsigned(std::int64_t{st.st_size});
-  void* base = MAP_FAILED;
-  bool huge = false;
-  if (opts.huge_pages) {
-#ifdef MAP_HUGETLB
-    // Only works for hugetlbfs-backed files; a regular file returns
-    // EINVAL, in which case we quietly take the normal-page path.
-    base = ::mmap(nullptr, size, PROT_READ, MAP_SHARED | MAP_HUGETLB,
-                  fd.fd, 0);
-    huge = base != MAP_FAILED;
-#endif
-  }
-  if (base == MAP_FAILED) {
-    base = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd.fd, 0);
-  }
+  void* base = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd.fd, 0);
   if (base == MAP_FAILED) {
     throw MappingError("store: mmap failed for " + path + ": " +
                        std::strerror(errno));
@@ -103,8 +53,6 @@ std::shared_ptr<const Mapping> Mapping::open(const std::string& path,
   m->data_ = static_cast<const std::uint8_t*>(base);
   m->size_ = size;
   m->path_ = path;
-  m->huge_ = huge;
-  if (opts.advice != Advice::kNormal) m->advise(opts.advice);
   return m;
 }
 
@@ -112,11 +60,6 @@ Mapping::~Mapping() {
   if (data_ != nullptr) {
     ::munmap(const_cast<std::uint8_t*>(data_), size_);
   }
-}
-
-void Mapping::advise(Advice a) const {
-  // Best-effort: a hint the kernel refuses must never fail a load.
-  (void)::madvise(const_cast<std::uint8_t*>(data_), size_, advice_flag(a));
 }
 
 ResidencyStats Mapping::residency() const {

@@ -1,9 +1,9 @@
 // RAII wrapper around a read-only, shared file mapping — the single
-// place in the codebase that calls mmap/munmap/madvise/mincore (a
-// gcg_lint rule bans raw mmap everywhere else). Centralizing the unmap
-// in one shared handle is what makes Csr views safe: every view holds a
-// shared_ptr to the Mapping (possibly through a MappedGraph), so the
-// bytes outlive the last reader no matter what the cache evicts.
+// place in the codebase that calls mmap/munmap/mincore (a gcg_lint rule
+// bans raw mmap everywhere else). Centralizing the unmap in one shared
+// handle is what makes Csr views safe: every view holds a shared_ptr to
+// the Mapping (possibly through a MappedGraph), so the bytes outlive the
+// last reader no matter what the cache evicts.
 //
 // Thread safety: a Mapping is immutable after construction — the pages
 // are PROT_READ and no member mutates state after the constructor
@@ -20,16 +20,6 @@
 
 namespace gcg::store {
 
-/// Paging hints forwarded to madvise after a successful map.
-enum class Advice {
-  kNormal,    ///< kernel default readahead
-  kWillNeed,  ///< MADV_WILLNEED: start faulting pages in immediately
-  kRandom,    ///< MADV_RANDOM: disable readahead (pointer-chasing loads)
-};
-
-const char* advice_name(Advice a);
-Advice advice_from_name(const std::string& name);
-
 /// How many of the mapping's pages are currently resident in the page
 /// cache (mincore snapshot) — the store's observability hook.
 struct ResidencyStats {
@@ -44,22 +34,11 @@ struct ResidencyStats {
 
 class Mapping {
  public:
-  struct Options {
-    Advice advice = Advice::kNormal;
-    /// Try MAP_HUGETLB first (needs hugetlbfs-backed files or reserved
-    /// huge pages; falls back to a normal mapping when the kernel
-    /// refuses — check used_huge_pages() for what actually happened).
-    bool huge_pages = false;
-  };
-
   /// Maps `path` read-only (PROT_READ, MAP_SHARED). Throws
   /// std::runtime_error if the file cannot be opened or stat'ed, and
   /// MappingError when the mmap itself failed — so callers can
   /// distinguish "no such file" from "mmap unsupported here" and fall
-  /// back to a heap read. (Defaulted overload, not a default argument:
-  /// GCC rejects `Options{}` defaults while the enclosing class is open.)
-  static std::shared_ptr<const Mapping> open(const std::string& path,
-                                             const Options& opts);
+  /// back to a heap read.
   static std::shared_ptr<const Mapping> open(const std::string& path);
 
   ~Mapping();
@@ -69,11 +48,6 @@ class Mapping {
   const std::uint8_t* data() const { return data_; }
   std::size_t size() const { return size_; }
   const std::string& path() const { return path_; }
-  bool used_huge_pages() const { return huge_; }
-
-  /// Re-applies a paging hint after open (e.g. switch to kRandom once
-  /// warmup finished). Best-effort: errors are ignored.
-  void advise(Advice a) const;
 
   /// mincore snapshot of how much of the file is resident right now.
   ResidencyStats residency() const;
@@ -86,7 +60,6 @@ class Mapping {
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
   std::string path_;
-  bool huge_ = false;
 };
 
 /// Thrown when the file exists and is readable but mmap itself failed —

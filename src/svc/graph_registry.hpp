@@ -53,7 +53,7 @@ class GraphRegistry {
     /// everything, the pre-store behaviour).
     bool mmap_store = true;
     /// Forwarded to store::MappedGraph::open for mapped entries
-    /// (advice, huge pages, checksum verify, warmup threads).
+    /// (storage mode, checksum verify).
     store::OpenOptions store;
   };
 

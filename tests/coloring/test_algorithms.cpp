@@ -85,8 +85,8 @@ TEST_P(AlgorithmTest, ActivityAccountsForEveryVertex) {
 
 INSTANTIATE_TEST_SUITE_P(All, AlgorithmTest,
                          ::testing::ValuesIn(all_algorithms()),
-                         [](const auto& info) {
-                           std::string n = algorithm_name(info.param);
+                         [](const auto& param_info) {
+                           std::string n = algorithm_name(param_info.param);
                            for (auto& c : n) {
                              if (c == '-' || c == '+') c = '_';
                            }

@@ -29,8 +29,8 @@ TEST_P(GreedyOrderTest, ValidOnAssortedGraphs) {
 
 INSTANTIATE_TEST_SUITE_P(AllOrders, GreedyOrderTest,
                          ::testing::ValuesIn(kAllOrders),
-                         [](const auto& info) {
-                           std::string n = greedy_order_name(info.param);
+                         [](const auto& param_info) {
+                           std::string n = greedy_order_name(param_info.param);
                            for (auto& ch : n) {
                              if (ch == '-') ch = '_';
                            }

@@ -60,8 +60,8 @@ TEST_P(SuiteRoundTrip, EdgeListSurvives) {
 INSTANTIATE_TEST_SUITE_P(Suite, SuiteRoundTrip,
                          ::testing::Values("ecology-like", "road-like",
                                            "kron-like", "citation-like"),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& param_info) {
+                           std::string name = param_info.param;
                            std::replace(name.begin(), name.end(), '-', '_');
                            return name;
                          });

@@ -48,8 +48,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllOrders, ReorderIsomorphism,
     ::testing::Values(Order::kNatural, Order::kRandom, Order::kDegreeDescending,
                       Order::kDegreeAscending, Order::kBfs, Order::kRcm),
-    [](const auto& info) {
-      std::string n = order_name(info.param);
+    [](const auto& param_info) {
+      std::string n = order_name(param_info.param);
       for (auto& c : n) {
         if (c == '-') c = '_';
       }

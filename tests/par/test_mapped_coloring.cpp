@@ -15,7 +15,6 @@
 
 #include "check/coloring.hpp"
 #include "graph/gen/suite.hpp"
-#include "par/pool.hpp"
 #include "store/mapped_graph.hpp"
 #include "store/writer.hpp"
 
@@ -94,18 +93,6 @@ TEST(MappedColoring, StealValidOnMappedView) {
       fx.mapped(), par::ParAlgorithm::kSteal, opts_for(4));
   EXPECT_GT(run.num_colors, 0);
   EXPECT_TRUE(check::is_valid_coloring(fx.heap, run.colors));
-}
-
-TEST(MappedColoring, WarmupOnPoolThenColor) {
-  // Parallel page-touch warmup must not disturb results (it only reads).
-  const Fixture fx = make_fixture("warm");
-  par::ThreadPool pool(2);
-  EXPECT_GT(fx.handle->warmup(&pool), 0u);
-  const par::ParRun warm = par::run_par_coloring(
-      fx.mapped(), par::ParAlgorithm::kJpl, opts_for(2));
-  const par::ParRun heap_run = par::run_par_coloring(
-      fx.heap, par::ParAlgorithm::kJpl, opts_for(2));
-  EXPECT_EQ(warm.colors, heap_run.colors);
 }
 
 }  // namespace

@@ -241,8 +241,9 @@ TEST_P(ParParityTest, FirstFitCommitsStayWithinDegreeBound) {
 
 INSTANTIATE_TEST_SUITE_P(AllParAlgorithms, ParParityTest,
                          ::testing::ValuesIn(par::all_par_algorithms()),
-                         [](const auto& info) {
-                           return std::string(par_algorithm_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(
+                               par_algorithm_name(param_info.param));
                          });
 
 // --- cancellation ------------------------------------------------------------
