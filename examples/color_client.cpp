@@ -1,6 +1,6 @@
 // Command-line client for color_server. One verb per invocation:
 //
-//   color_client submit <graph-spec> [--socket S] [--backend par|shard]
+//   color_client submit <graph-spec> [--socket S]
 //                [--algorithm steal] [--priority random] [--seed 1]
 //                [--deadline-ms 0] [--wait]
 //                [--count N] [--concurrency C]     (mini load generator)
@@ -27,11 +27,10 @@ constexpr const char* kDefaultSocket = "/tmp/gcg_color.sock";
 int usage() {
   std::cerr
       << "usage: color_client <verb> [args] [--socket PATH]\n"
-         "  submit <graph-spec> [--backend par|shard] [--algorithm NAME]\n"
+         "  submit <graph-spec> [--algorithm NAME]\n"
          "         [--priority random|degree-biased|natural] [--seed N]\n"
          "         [--order NAME] [--deadline-ms MS]\n"
          "         [--keep-colors]\n"
-         "         [--shards N] [--shard-rounds N] (backend shard)\n"
          "         [--wait] [--count N] [--concurrency C]\n"
          "  status <id> | result <id> | cancel <id>\n"
          "  stats | ping | shutdown\n";
@@ -42,16 +41,12 @@ gcg::svc::JobSpec spec_from_cli(const gcg::Cli& cli,
                                 const std::string& graph) {
   gcg::svc::JobSpec spec;
   spec.graph = graph;
-  spec.backend = gcg::svc::backend_from_name(cli.get("backend", "par"));
-  spec.algorithm =
-      cli.get("algorithm", gcg::svc::default_algorithm(spec.backend));
+  spec.algorithm = cli.get("algorithm", spec.algorithm);
   spec.priority = cli.get("priority", "random");
   spec.seed = std::stoull(cli.get("seed", "1"));  // full u64 range
-  spec.order = cli.get("order", "");  // par only; service validates the name
+  spec.order = cli.get("order", "");  // the service validates the name
   spec.deadline_ms = cli.get_double("deadline-ms", 0.0);
   spec.keep_colors = cli.get_bool("keep-colors");
-  spec.shards = static_cast<unsigned>(cli.get_int("shards", 0));
-  spec.shard_rounds = static_cast<unsigned>(cli.get_int("shard-rounds", 0));
   return spec;
 }
 

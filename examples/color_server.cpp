@@ -10,24 +10,20 @@
 //                           [--cache-graphs 16] [--cache-mb 1024]
 //                           [--mapped-cache-gb 256] [--no-mmap]
 //                           [--preload g1,g2,...]
-//                           [--shard-workers 2] [--shard-threads 0]
-//                           [--shard-rounds 16] [--shards 4]
-//                           [--shard-in-process]
 //
 // .gbin v2 graphs are served zero-copy off the page cache via the mmap
 // store (disable with --no-mmap). A flag the server does not read is a
 // usage error: it exits 2 and names the flag before binding the socket.
 //
-// backend=shard jobs fan out to a fleet of shard_worker processes that
-// is spawned lazily on the first such job (--shard-workers 0 disables
-// the backend; such jobs are then rejected at submit).
+// --shard-workers is still read, but only 0 is accepted: the shard fleet
+// was removed, and the e2e benchmark harness still passes
+// `--shard-workers 0`. Any other value exits 2.
 #include <atomic>
 #include <csignal>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "shard/backend.hpp"
 #include "svc/server.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -108,25 +104,12 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("mapped-cache-gb", 256)) << 30;
   opts.scheduler.registry.mmap_store = !cli.get_bool("no-mmap");
 
-  const unsigned shard_workers =
-      static_cast<unsigned>(cli.get_int("shard-workers", 2));
-  if (shard_workers > 0) {
-    shard::BackendOptions bopts;
-    bopts.workers = shard_workers;
-    bopts.worker_threads =
-        static_cast<unsigned>(cli.get_int("shard-threads", 0));
-    bopts.default_shards = static_cast<unsigned>(cli.get_int("shards", 4));
-    bopts.max_rounds = static_cast<unsigned>(cli.get_int("shard-rounds", 16));
-    bopts.in_process = cli.get_bool("shard-in-process");
-    opts.scheduler.shard_backend = shard::make_shard_backend(bopts);
+  if (cli.get_int("shard-workers", 0) != 0) {
+    std::cerr << "error: --shard-workers accepts only 0: the shard fleet "
+                 "was removed\n";
+    return 2;
   }
   const std::vector<std::string> preload = split_csv(cli.get("preload", ""));
-  // The --shard-* group goes unread with --shard-workers 0; marking it
-  // read leaves unused() with only the flags this binary never reads.
-  for (const char* name :
-       {"shard-threads", "shards", "shard-rounds", "shard-in-process"}) {
-    cli.has(name);
-  }
   if (const std::vector<std::string> unknown = cli.unused();
       !unknown.empty()) {
     for (const std::string& name : unknown) {
@@ -142,7 +125,7 @@ int main(int argc, char** argv) {
               << " queue=" << opts.scheduler.queue_capacity
               << " batch=" << opts.scheduler.batch_limit
               << " cache-graphs=" << opts.scheduler.registry.max_entries
-              << " shard-workers=" << shard_workers << "\n";
+              << "\n";
 
     // Warm the registry so first requests skip the load.
     for (const std::string& spec : preload) {

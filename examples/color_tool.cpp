@@ -1,20 +1,16 @@
 // Command-line coloring tool: load a graph file (.mtx/.col/.el/.gbin)
 // or a generator spec (gen:kron-like?scale=0.5&seed=1), color it with a
 // chosen algorithm, verify, and optionally write the color assignment.
-// Runs on the simulated GPU (default), the native multicore backend, or
-// a sharded multi-process worker fleet.
+// Runs on the simulated GPU (default) or the native multicore backend.
 //
 // Exit codes (stable, for scripts/CI): 0 = valid coloring produced,
 // 1 = error (unreadable graph, bad flag value, ...), 2 = usage (no graph,
 // an unknown flag or backend),
 // 3 = the produced coloring FAILED validity verification.
 //
-//   ./examples/color_tool graph.mtx [--backend sim|par|shard]
+//   ./examples/color_tool graph.mtx [--backend sim|par]
 //                                   [--algorithm hybrid+steal]
 //                                   [--threads N]   (par backend)
-//                                   [--shards 4] [--workers 2]
-//                                   [--rounds 16] [--in-process]
-//                                                   (shard backend)
 //                                   [--order natural] [--out colors.txt]
 //                                   [--seed 1] [--stats]
 //                                   [--store]
@@ -32,7 +28,6 @@
 #include "graph/reorder.hpp"
 #include "graph/stats.hpp"
 #include "par/runner.hpp"
-#include "shard/coordinator.hpp"
 #include "store/mapped_graph.hpp"
 #include "store/writer.hpp"
 #include "svc/graph_registry.hpp"
@@ -122,66 +117,6 @@ int run_par(const gcg::Cli& cli, const gcg::Csr& g) {
   return 0;
 }
 
-// Sharded backend: a worker fleet (forked shard_worker processes, or
-// in-process server threads with --in-process) colors edge-balanced
-// vertex ranges independently, then the coordinator drives bounded
-// rounds of boundary-conflict repair. The workers re-resolve `spec`
-// through their own graph registries, so it must name the same graph we
-// loaded here. For gen: specs main() supports --order by rewriting the
-// spec with an order= parameter — every worker then resolves the
-// identical reordered graph — and passes `unmap` (perm[old] = new) so
-// the merged colors are reported in the caller's original vertex ids;
-// file-backed graphs still reject --order (workers cannot reproduce the
-// relabeling from a path alone).
-int run_shard(const gcg::Cli& cli, const gcg::Csr& g, const std::string& spec,
-              const std::vector<gcg::vid_t>& unmap) {
-  using namespace gcg;
-  shard::CoordinatorOptions copts;
-  copts.workers = static_cast<unsigned>(cli.get_int("workers", 2));
-  copts.worker_threads = static_cast<unsigned>(cli.get_int("threads", 0));
-  copts.max_rounds = static_cast<unsigned>(cli.get_int("rounds", 16));
-  copts.in_process = cli.get_bool("in-process");
-  shard::Coordinator coord(copts);
-
-  shard::ShardJob job;
-  job.graph = spec;
-  job.shards = static_cast<unsigned>(cli.get_int("shards", 4));
-  job.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  job.algorithm = cli.get("algorithm", "jpl");
-
-  shard::ShardRunStats st;
-  std::vector<color_t> colors = coord.color(g, job, &st);
-  if (const auto violation = check::verify_coloring(g, colors)) {
-    std::cerr << "INVALID COLORING: " << violation->to_string() << '\n';
-    return kExitInvalidColoring;
-  }
-  if (!unmap.empty()) {
-    // Back to the pre-reorder vertex ids (validity is label-invariant).
-    std::vector<color_t> original(colors.size());
-    for (vid_t v = 0; v < static_cast<vid_t>(colors.size()); ++v) {
-      original[v] = colors[unmap[v]];
-    }
-    colors = std::move(original);
-  }
-
-  const QualityReport q = analyze_quality(g, colors);
-  std::cout << "backend:     shard (" << st.shards << " shards on "
-            << st.workers << (copts.in_process ? " threads)\n" : " workers)\n")
-            << "algorithm:   " << job.algorithm << '\n'
-            << "colors:      " << st.num_colors << '\n'
-            << "rounds:      " << st.conflict_rounds << " conflict rounds\n"
-            << "boundary:    " << st.boundary_vertices << " vertices ("
-            << 100.0 * st.boundary_fraction << "% of n), " << st.cut_arcs
-            << " cut arcs\n"
-            << "recolored:   " << st.recolored << " by workers, "
-            << st.fallback_recolored << " inline\n"
-            << "wall time:   " << st.wall_ms << " ms\n"
-            << "parallelism: " << q.mean_parallelism
-            << " vertices/color class (mean)\n";
-  write_colors(cli, colors);
-  return 0;
-}
-
 // Pack-on-first-load: convert the input to .gbin v2 next to it (reusing
 // an existing pack), then mmap. The returned Csr is a zero-copy view
 // whose keepalive pins the mapping, so it outlives the local handle.
@@ -210,8 +145,7 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   if (cli.positional().empty()) {
     std::cerr << "usage: color_tool <graph.{mtx,col,el,gbin} | gen:NAME> "
-                 "[--backend sim|par|shard] [--algorithm NAME] [--threads N] "
-                 "[--shards N] [--workers N] [--rounds N] [--in-process] "
+                 "[--backend sim|par] [--algorithm NAME] [--threads N] "
                  "[--order NAME] [--out FILE] [--seed N] [--stats] "
                  "[--store]\n";
     std::cerr << "sim algorithms:";
@@ -227,8 +161,8 @@ int main(int argc, char** argv) {
   // the typos (say --algo for --algorithm), which would otherwise be
   // ignored silently.
   for (const char* name :
-       {"backend", "algorithm", "threads", "shards", "workers", "rounds",
-        "in-process", "order", "out", "seed", "stats", "store"}) {
+       {"backend", "algorithm", "threads", "order", "out", "seed", "stats",
+        "store"}) {
     cli.has(name);
   }
   if (const std::vector<std::string> unknown = cli.unused();
@@ -241,8 +175,8 @@ int main(int argc, char** argv) {
 
   try {
     const std::string& spec = cli.positional()[0];
-    // gen: specs go through the service registry (same parser the shard
-    // workers use); a copy of a generated graph is owning, so the local
+    // gen: specs go through the service registry (same parser as the
+    // server); a copy of a generated graph is owning, so the local
     // registry can die right here.
     Csr g = spec.rfind("gen:", 0) == 0 ? *svc::GraphRegistry().acquire(spec)
             : cli.get_bool("store")    ? open_via_store(spec)
@@ -252,38 +186,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     const std::string backend = cli.get("backend", "sim");
+    // par threads the order through ParOptions in run_par: the runner
+    // colors the relabeled graph and unmaps, so g stays as loaded here.
     const Order order = order_from_name(cli.get("order", "natural"));
-    std::string shard_spec = spec;
-    std::vector<vid_t> shard_unmap;  // perm[old] = new when shard reorders
-    if (order != Order::kNatural) {
-      if (backend == "par") {
-        // Threaded through ParOptions in run_par: the runner colors the
-        // relabeled graph and unmaps, so g stays as loaded here.
-      } else if (backend == "shard") {
-        // Safe only when every worker can reproduce the exact reordered
-        // graph from the spec string: gen: specs grow an order= parameter
-        // (the registry relabels deterministically after generating);
-        // file paths and the seed-dependent random order stay rejected.
-        if (spec.rfind("gen:", 0) != 0) {
-          std::cerr << "error: --order with --backend shard requires a gen: "
-                       "spec (workers cannot reproduce a reordered file "
-                       "graph)\n";
-          return 2;
-        }
-        if (order == Order::kRandom) {
-          std::cerr << "error: --order random is not supported with "
-                       "--backend shard (the shuffle depends on the "
-                       "generator seed embedded in the spec)\n";
-          return 2;
-        }
-        shard_unmap = make_order(g, order);
-        g = apply_order(g, shard_unmap);
-        shard_spec += shard_spec.find('?') == std::string::npos ? "?" : "&";
-        shard_spec += std::string("order=") + order_name(order);
-      } else {
-        g = reorder(g, order);
-      }
-    }
+    if (order != Order::kNatural && backend != "par") g = reorder(g, order);
 
     if (cli.get_bool("stats")) {
       std::cout << describe(compute_stats(g)) << '\n';
@@ -292,9 +198,7 @@ int main(int argc, char** argv) {
 
     if (backend == "sim") return run_sim(cli, g);
     if (backend == "par") return run_par(cli, g);
-    if (backend == "shard") return run_shard(cli, g, shard_spec, shard_unmap);
-    std::cerr << "error: unknown backend '" << backend
-              << "' (sim|par|shard)\n";
+    std::cerr << "error: unknown backend '" << backend << "' (sim|par)\n";
     return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';

@@ -11,6 +11,7 @@
 #include "graph/gen/suite.hpp"
 #include "graph/io/io.hpp"
 #include "graph/reorder.hpp"
+#include "store/mapped_graph.hpp"
 #include "util/narrow.hpp"
 
 namespace gcg::svc {
@@ -28,9 +29,8 @@ struct GenSpec {
   double scale = 1.0;
   std::uint64_t seed = 1;
   /// Deterministic relabeling applied after generation (kRandom uses
-  /// `seed`). Part of the spec — and so of the canonical cache key —
-  /// which is what lets every shard worker resolve the *identical*
-  /// reordered graph from the spec string alone.
+  /// `seed`). Part of the spec, and so of the canonical cache key: two
+  /// specs that differ only in order are two entries.
   Order order = Order::kNatural;
 };
 
@@ -205,7 +205,7 @@ std::shared_ptr<const Csr> GraphRegistry::acquire(const std::string& spec,
       // view, so this entry (and every job holding it) pins the mapping,
       // never a heap copy. v1 .gbin files miss the magic sniff and take
       // the heap branch below unchanged.
-      auto mg = store::MappedGraph::open(key, opts_.store);
+      auto mg = store::MappedGraph::open(key);
       mapped = mg->is_mapped();
       charge = mg->file_bytes();
       graph = store::graph_view(std::move(mg));

@@ -32,7 +32,6 @@
 #include <string>
 
 #include "graph/csr.hpp"
-#include "store/mapped_graph.hpp"
 #include "util/sync.hpp"
 
 namespace gcg::svc {
@@ -52,9 +51,6 @@ class GraphRegistry {
     /// Serve .gbin v2 files as zero-copy mapped views (false = heap-load
     /// everything, the pre-store behaviour).
     bool mmap_store = true;
-    /// Forwarded to store::MappedGraph::open for mapped entries
-    /// (storage mode, checksum verify).
-    store::OpenOptions store;
   };
 
   struct Stats {

@@ -1,26 +1,6 @@
 #include "svc/job.hpp"
 
-#include <stdexcept>
-
 namespace gcg::svc {
-
-const char* backend_name(Backend b) {
-  switch (b) {
-    case Backend::kPar: return "par";
-    case Backend::kShard: return "shard";
-  }
-  return "?";
-}
-
-Backend backend_from_name(const std::string& name) {
-  if (name == "par") return Backend::kPar;
-  if (name == "shard") return Backend::kShard;
-  throw std::invalid_argument("unknown backend: " + name + " (par|shard)");
-}
-
-const char* default_algorithm(Backend b) {
-  return b == Backend::kShard ? "jpl" : "steal";
-}
 
 const char* job_status_name(JobStatus s) {
   switch (s) {

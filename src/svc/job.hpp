@@ -17,35 +17,18 @@
 
 namespace gcg::svc {
 
-/// Which execution backend colors the graph.
-enum class Backend {
-  kPar,    ///< native multicore (par::run_par_coloring) — the serving path
-  kShard,  ///< multi-process sharded coloring (src/shard/ coordinator)
-};
-
-const char* backend_name(Backend b);
-Backend backend_from_name(const std::string& name);
-/// Algorithm a job runs when its spec names none: steal for par, jpl for
-/// shard (deterministic, so sharded results stay bit-stable across worker
-/// counts — docs/SHARDING.md).
-const char* default_algorithm(Backend b);
-
+/// Every job runs on the native multicore backend (par::run_par_coloring).
 struct JobSpec {
   std::string graph;            ///< registry spec: path or gen:name?...
-  Backend backend = Backend::kPar;
-  std::string algorithm = "steal";  ///< backend-specific algorithm name
+  std::string algorithm = "steal";  ///< par algorithm name
   std::string priority = "random";  ///< PriorityMode name
   std::uint64_t seed = 1;
-  /// par only: preprocessing vertex order ("degree-desc", "rcm", ...;
+  /// Preprocessing vertex order ("degree-desc", "rcm", ...;
   /// graph/reorder.hpp names); "" = natural. Colors come back in the
-  /// graph's original vertex ids regardless. For kShard use a gen: spec
-  /// with an order= parameter instead (the workers must resolve the
-  /// reordered graph themselves).
+  /// graph's original vertex ids regardless.
   std::string order;
   double deadline_ms = 0.0;     ///< from submit; 0 = no deadline
   bool keep_colors = false;     ///< retain the full color array in the result
-  unsigned shards = 0;          ///< shard only: partition count; 0 = default
-  unsigned shard_rounds = 0;    ///< shard only: conflict-round cap; 0 = default
 };
 
 enum class JobStatus {
@@ -70,11 +53,6 @@ struct JobResult {
   bool mapped = false;        ///< graph served zero-copy off the mmap store
   std::string error;          ///< set for kFailed / kCancelled
   std::vector<color_t> colors;  ///< only when spec.keep_colors
-  // --- shard backend only (shards == 0 otherwise) --------------------------
-  unsigned shards = 0;            ///< shards the graph was partitioned into
-  unsigned conflict_rounds = 0;   ///< boundary conflict rounds driven
-  std::uint64_t recolored = 0;    ///< vertices recolored across all rounds
-  double boundary_fraction = 0.0; ///< boundary vertices / total vertices
 };
 
 /// One job's full lifetime. Status/result transitions happen under `mu`

@@ -21,16 +21,12 @@ double ms_since(Clock::time_point t0, Clock::time_point t1) {
 }
 
 /// Validates the spec's enumerated fields; returns an error detail or "".
-std::string validate_spec(const JobSpec& spec, bool have_shard_backend) {
+std::string validate_spec(const JobSpec& spec) {
   try {
     priority_mode_from_name(spec.priority);
-    // Shard interiors run on the par backend inside each worker.
     par::par_algorithm_from_name(spec.algorithm);
   } catch (const std::exception& e) {
     return e.what();
-  }
-  if (spec.backend == Backend::kShard && !have_shard_backend) {
-    return "backend \"shard\" is not configured on this scheduler";
   }
   if (spec.deadline_ms < 0.0) return "deadline_ms must be >= 0";
   return "";
@@ -75,8 +71,7 @@ Scheduler::Submit Scheduler::submit(JobSpec spec) {
     out.detail = e.what();
   }
   if (out.error.empty()) {
-    const std::string detail =
-        validate_spec(spec, opts_.shard_backend != nullptr);
+    const std::string detail = validate_spec(spec);
     if (!detail.empty()) {
       out.error = "bad_request";
       out.detail = detail;
@@ -258,41 +253,30 @@ void Scheduler::run_one(par::ThreadPool& pool, const JobPtr& job,
   result.mapped = graph->is_view();  // zero-copy: served off the mmap store
 
   try {
-    std::vector<color_t> colors;
-    bool cancelled = false;
-
-    if (job->spec.backend == Backend::kPar) {
-      par::ParOptions popts;
-      popts.priority = priority_mode_from_name(job->spec.priority);
-      popts.seed = job->spec.seed;
-      if (!job->spec.order.empty()) {
-        // Validated at the protocol boundary; the runner reorders, colors
-        // the relabeled graph, and unmaps back to the caller's vertex ids.
-        popts.order = order_from_name(job->spec.order);
-      }
-      JobRecord* rec = job.get();
-      popts.should_cancel = [rec, has_deadline, deadline] {
-        // order: relaxed — poll of the standalone cancel flag.
-        return rec->cancel.load(std::memory_order_relaxed) ||
-               (has_deadline && Clock::now() > deadline);
-      };
-      par::ParRun run = par::run_par_coloring(
-          pool, *graph, par::par_algorithm_from_name(job->spec.algorithm),
-          popts);
-      result.num_colors = run.num_colors;
-      result.iterations = run.iterations;
-      result.run_ms = run.wall_ms;
-      result.threads = run.threads;
-      cancelled = run.cancelled;
-      colors = std::move(run.colors);
-    } else {
-      // Sharded multi-process run via the injected coordinator. No
-      // mid-run cancellation hook (the fleet round-trip is the unit of
-      // progress); the deadline was checked at dispatch.
-      colors = opts_.shard_backend->run(job->spec, *graph, result);
+    par::ParOptions popts;
+    popts.priority = priority_mode_from_name(job->spec.priority);
+    popts.seed = job->spec.seed;
+    if (!job->spec.order.empty()) {
+      // Validated at the protocol boundary; the runner reorders, colors
+      // the relabeled graph, and unmaps back to the caller's vertex ids.
+      popts.order = order_from_name(job->spec.order);
     }
+    JobRecord* rec = job.get();
+    popts.should_cancel = [rec, has_deadline, deadline] {
+      // order: relaxed — poll of the standalone cancel flag.
+      return rec->cancel.load(std::memory_order_relaxed) ||
+             (has_deadline && Clock::now() > deadline);
+    };
+    par::ParRun run = par::run_par_coloring(
+        pool, *graph, par::par_algorithm_from_name(job->spec.algorithm),
+        popts);
+    result.num_colors = run.num_colors;
+    result.iterations = run.iterations;
+    result.run_ms = run.wall_ms;
+    result.threads = run.threads;
+    std::vector<color_t> colors = std::move(run.colors);
 
-    if (cancelled) {
+    if (run.cancelled) {
       // order: relaxed — poll of the standalone cancel flag.
       const char* why = job->cancel.load(std::memory_order_relaxed)
                             ? "cancelled"

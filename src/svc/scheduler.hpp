@@ -1,14 +1,13 @@
 // The service's execution core: a team of dispatcher threads pulls
 // same-graph batches off the bounded JobQueue, resolves the graph through
-// the GraphRegistry, and runs each job on its dispatcher's par pool (or
-// through the injected shard coordinator). The registry validates each
-// graph once when it loads it (an invalid graph fails its batch as a
-// bad_graph load error), and every coloring is verified before a job
-// reports done. Handles admission control (queue-full rejection), per-job
+// the GraphRegistry, and runs each job on its dispatcher's par pool. The
+// registry validates each graph once when it loads it (an invalid graph
+// fails its batch as a bad_graph load error), and every coloring is
+// verified before a job reports done. Handles admission control (queue-full rejection), per-job
 // deadlines and cancellation (via the par backend's should_cancel hook),
 // and keeps per-request latency and batch statistics for the `stats`
 // verb. Protocol-agnostic: the socket server (svc/server.hpp) and
-// in-process users (tests, bench_svc_throughput) drive the same API.
+// in-process users (tests) drive the same API.
 #pragma once
 
 #include <cstdint>
@@ -32,22 +31,6 @@ class ThreadPool;
 
 namespace gcg::svc {
 
-/// Execution seam for the sharded multi-process backend (src/shard/).
-/// svc cannot depend on shard — shard depends on svc for its wire
-/// protocol — so the coordinator is injected through this interface via
-/// SchedulerOptions::shard_backend. Without one installed, backend=shard
-/// submissions are rejected as bad_request.
-class ShardBackendIf {
- public:
-  virtual ~ShardBackendIf() = default;
-  /// Colors spec.graph (already resolved to `graph`), fills the shard
-  /// fields of `result` (shards, conflict_rounds, recolored,
-  /// boundary_fraction, run_ms, threads, num_colors, iterations) and
-  /// returns the full color array for verification. Throws on failure.
-  virtual std::vector<color_t> run(const JobSpec& spec, const Csr& graph,
-                                   JobResult& result) = 0;
-};
-
 struct SchedulerOptions {
   unsigned dispatchers = 2;     ///< jobs running concurrently
   /// Worker threads per dispatcher pool; 0 splits hardware_concurrency
@@ -61,8 +44,6 @@ struct SchedulerOptions {
   /// memory and stats-query cost stay bounded on a long-running service).
   std::size_t latency_window = 4096;
   GraphRegistry::Options registry;
-  /// Sharded-backend coordinator; null = backend=shard jobs rejected.
-  std::shared_ptr<ShardBackendIf> shard_backend;
 };
 
 /// Counters the `stats` verb reports. Latency covers terminal jobs

@@ -112,15 +112,6 @@ Server::Server(ServerOptions opts) : opts_(std::move(opts)) {
   acceptor_ = std::thread([this] { accept_loop(); });
 }
 
-Server::Server(ServerOptions opts, Handler handler)
-    : opts_(std::move(opts)), handler_(std::move(handler)) {
-  if (!handler_) {
-    throw std::runtime_error("server: handler must be callable");
-  }
-  start();
-  acceptor_ = std::thread([this] { accept_loop(); });
-}
-
 void Server::start() {
   if (opts_.socket_path.empty()) {
     throw std::runtime_error("server: socket_path is required");
@@ -218,12 +209,6 @@ void Server::serve_connection(int fd, std::uint64_t conn_id) {
         out["stopping"] = Json(true);
         reply = out.dump();
         shutdown_verb = true;
-      } else if (handler_) {
-        try {
-          reply = handler_(req).dump();
-        } catch (const std::exception& e) {
-          reply = error_reply(kErrBadRequest, e.what()).dump();
-        }
       } else {
         reply = handle_request(*scheduler_, req).dump();
       }

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,22 +26,9 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// Replaces the scheduler protocol for handler-mode servers: called
-  /// once per parsed request (never for the shutdown verb, which the
-  /// server keeps intercepting); the return value is the reply. Runs on
-  /// connection threads, so it must be thread-safe. Exceptions become
-  /// bad_request replies.
-  using Handler = std::function<Json(const Json&)>;
-
   /// Binds and starts serving immediately; throws std::runtime_error on
   /// socket/bind/listen failure (e.g. path too long for sockaddr_un).
   explicit Server(ServerOptions opts);
-
-  /// Handler-mode server: same socket/framing/lifecycle, but every
-  /// request is dispatched to `handler` instead of a Scheduler (none is
-  /// created; scheduler() must not be called). The shard worker serves
-  /// its verbs this way.
-  Server(ServerOptions opts, Handler handler);
   ~Server();  ///< equivalent to stop()
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -64,7 +50,6 @@ class Server {
   void stop();
 
   const std::string& socket_path() const { return opts_.socket_path; }
-  /// Scheduler-mode only; undefined in handler mode.
   Scheduler& scheduler() { return *scheduler_; }
   std::uint64_t connections_served() const;
 
@@ -76,8 +61,7 @@ class Server {
   void close_listener();
 
   ServerOptions opts_;
-  std::unique_ptr<Scheduler> scheduler_;  // null in handler mode
-  Handler handler_;                       // null in scheduler mode
+  std::unique_ptr<Scheduler> scheduler_;
   int listen_fd_ = -1;
 
   std::thread acceptor_;

@@ -1,6 +1,6 @@
 // The sync:: seam: the one spelling of the synchronization vocabulary the
-// concurrent core (src/par/, src/svc/, src/shard/, util/stress.*) is
-// allowed to use. In product builds sync::atomic IS std::atomic — see the
+// concurrent core (src/par/, src/svc/, util/stress.*) is allowed to use.
+// In product builds sync::atomic IS std::atomic — see the
 // static_asserts in tests/par/test_sync_seam.cpp — so the seam costs
 // nothing. When a TU is compiled with GCG_MC_MODEL defined (the tests/mc/
 // models), the same names resolve to the mc:: modeled primitives instead,

@@ -61,9 +61,8 @@ TEST(Registry, OrderSpecYieldsTheReorderedGraph) {
   ASSERT_EQ(base->num_vertices(), ordered->num_vertices());
   ASSERT_EQ(base->num_arcs(), ordered->num_arcs());
 
-  // The registry must apply exactly reorder(generated, order, gen seed):
-  // that determinism is what lets every shard worker resolve the same
-  // relabeled graph from the spec string alone.
+  // The registry must apply exactly reorder(generated, order, gen seed),
+  // so one spec string always names the same relabeled graph.
   const Csr expected = reorder(*base, Order::kDegreeDescending, 1);
   for (vid_t v = 0; v < ordered->num_vertices(); ++v) {
     const auto got = ordered->neighbors(v);

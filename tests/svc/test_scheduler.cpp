@@ -5,6 +5,7 @@
 #include "svc/protocol.hpp"
 
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -91,14 +92,6 @@ TEST(Scheduler, ProtocolValidatesOrderKnob) {
   EXPECT_FALSE(bad.get_bool("ok", true));
   EXPECT_EQ(bad.get_string("error", ""), kErrBadRequest);
 
-  // The reorder pipeline is par-only: shard workers cannot reproduce a
-  // job-level order (they resolve graphs from the spec string).
-  const Json rejected = handle_request_line(
-      sched, std::string("{\"op\":\"submit\",\"graph\":\"") + kTiny +
-                 "\",\"backend\":\"shard\",\"order\":\"rcm\"}");
-  EXPECT_FALSE(rejected.get_bool("ok", true));
-  EXPECT_EQ(rejected.get_string("error", ""), kErrBadRequest);
-
   const Json good = handle_request_line(
       sched, std::string("{\"op\":\"submit\",\"graph\":\"") + kTiny +
                  "\",\"order\":\"degree-desc\",\"wait\":true}");
@@ -109,37 +102,55 @@ TEST(Scheduler, ProtocolValidatesOrderKnob) {
 TEST(Scheduler, JobSpecJsonRoundTrip) {
   // Every JobSpec field survives job_spec_to_json -> job_spec_from_json,
   // the path a Client-submitted job takes to the scheduler.
-  for (const Backend backend : {Backend::kPar, Backend::kShard}) {
-    JobSpec s;
-    s.graph = kTinySkewed;
-    s.backend = backend;
-    s.algorithm = "jpl";
-    s.priority = "degree-biased";
-    s.seed = UINT64_MAX;
-    if (backend == Backend::kPar) s.order = "rcm";
-    s.deadline_ms = 250.5;
-    s.keep_colors = true;
-    s.shards = 3;
-    s.shard_rounds = 7;
-    const JobSpec r = job_spec_from_json(job_spec_to_json(s));
-    EXPECT_EQ(r.graph, s.graph);
-    EXPECT_EQ(r.backend, s.backend);
-    EXPECT_EQ(r.algorithm, s.algorithm);
-    EXPECT_EQ(r.priority, s.priority);
-    EXPECT_EQ(r.seed, s.seed);
-    EXPECT_EQ(r.order, s.order);
-    EXPECT_EQ(r.deadline_ms, s.deadline_ms);
-    EXPECT_EQ(r.keep_colors, s.keep_colors);
-    EXPECT_EQ(r.shards, s.shards);
-    EXPECT_EQ(r.shard_rounds, s.shard_rounds);
-  }
-  // Absent fields take the per-backend defaults.
-  Json shard{JsonObject{}};
-  shard["graph"] = Json(std::string(kTiny));
-  shard["backend"] = Json(std::string("shard"));
-  const JobSpec d = job_spec_from_json(shard);
-  EXPECT_EQ(d.algorithm, default_algorithm(Backend::kShard));
+  JobSpec s;
+  s.graph = kTinySkewed;
+  s.algorithm = "jpl";
+  s.priority = "degree-biased";
+  s.seed = UINT64_MAX;
+  s.order = "rcm";
+  s.deadline_ms = 250.5;
+  s.keep_colors = true;
+  const JobSpec r = job_spec_from_json(job_spec_to_json(s));
+  EXPECT_EQ(r.graph, s.graph);
+  EXPECT_EQ(r.algorithm, s.algorithm);
+  EXPECT_EQ(r.priority, s.priority);
+  EXPECT_EQ(r.seed, s.seed);
+  EXPECT_EQ(r.order, s.order);
+  EXPECT_EQ(r.deadline_ms, s.deadline_ms);
+  EXPECT_EQ(r.keep_colors, s.keep_colors);
+
+  // Absent fields take the JobSpec defaults.
+  Json bare{JsonObject{}};
+  bare["graph"] = Json(std::string(kTiny));
+  const JobSpec d = job_spec_from_json(bare);
+  EXPECT_EQ(d.algorithm, JobSpec{}.algorithm);
   EXPECT_EQ(d.seed, 1u);
+
+  // "par" is the only backend; any other name is an error, never a
+  // silently different run.
+  bare["backend"] = Json(std::string("par"));
+  EXPECT_NO_THROW(job_spec_from_json(bare));
+  for (const char* gone : {"shard", "sim"}) {
+    bare["backend"] = Json(std::string(gone));
+    EXPECT_THROW(job_spec_from_json(bare), std::runtime_error) << gone;
+  }
+}
+
+TEST(Scheduler, ResultCarriesNoShardKeys) {
+  Scheduler sched(small_opts());
+  const auto sub = sched.submit(par_job(kTiny));
+  ASSERT_TRUE(sub.accepted);
+  const auto snap = sched.wait(sub.id);
+  ASSERT_TRUE(snap.has_value());
+  ASSERT_EQ(snap->status, JobStatus::kDone);
+  const Json reply = snapshot_reply(*snap);
+  const Json* result = reply.find("result");
+  ASSERT_NE(result, nullptr) << reply.dump();
+  EXPECT_NE(result->find("num_colors"), nullptr);
+  for (const char* key :
+       {"shards", "conflict_rounds", "recolored", "boundary_fraction"}) {
+    EXPECT_EQ(result->find(key), nullptr) << key;
+  }
 }
 
 TEST(Scheduler, KeepColorsReturnsFullAssignment) {

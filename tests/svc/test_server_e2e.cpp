@@ -300,6 +300,43 @@ TEST(ServerE2E, InvalidGraphFailsOneJobAndTheServerKeepsAnswering) {
   std::remove(bad.c_str());
 }
 
+TEST(ServerE2E, ShardBackendIsABadRequestAndTheServerKeepsAnswering) {
+  Server server(small_server(unique_socket_path("backend")));
+  Client client(server.socket_path());
+
+  // The shard fleet is gone; a client that still asks for it gets an
+  // error, not a par run in its place.
+  Json submit{JsonObject{}};
+  submit["op"] = Json(std::string("submit"));
+  submit["graph"] = Json(std::string(kGraphs[0]));
+  submit["backend"] = Json(std::string("shard"));
+  submit["shards"] = Json(std::int64_t{4});
+  submit["wait"] = Json(true);
+  Json reply = client.request(submit);
+  EXPECT_FALSE(reply.get_bool("ok", true)) << reply.dump();
+  EXPECT_EQ(reply.get_string("error", ""), kErrBadRequest);
+
+  // The same connection still colors a par job and answers.
+  JobSpec spec;
+  spec.graph = kGraphs[0];
+  spec.keep_colors = true;
+  reply = client.submit(spec, /*wait=*/true);
+  ASSERT_TRUE(reply.get_bool("ok", false)) << reply.dump();
+  EXPECT_EQ(reply.get_string("status", ""), "done");
+  ASSERT_NE(reply.find("result"), nullptr);
+  EXPECT_TRUE(reply.find("result")->get_bool("verified", false));
+  const Csr g = *GraphRegistry().acquire(kGraphs[0]);
+  EXPECT_FALSE(
+      check::verify_coloring(g, colors_from_reply(reply)).has_value());
+  EXPECT_TRUE(client.ping());
+
+  // The refused submit never reached the scheduler.
+  const Json stats = client.stats();
+  EXPECT_EQ(stats.get_int("submitted", 0), 1);
+  EXPECT_EQ(stats.get_int("completed", 0), 1);
+  server.stop();
+}
+
 TEST(ServerE2E, MalformedLineYieldsProtocolError) {
   Server server(small_server(unique_socket_path("proto")));
 
@@ -424,42 +461,28 @@ TEST(ServerE2E, ClientConnectTimeoutEventuallyThrows) {
 }
 
 TEST(ServerE2E, RequestTimeoutAgainstSlowHandler) {
-  ServerOptions opts;
-  opts.socket_path = unique_socket_path("slow");
-  Server server(opts, [](const Json&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1000));
-    Json out{JsonObject{}};
-    out["ok"] = Json(true);
-    return out;
-  });
+  // A peer that listens but never answers: the kernel completes the
+  // connect from the backlog, and the request must time out, not hang.
+  const std::string path = unique_socket_path("slow");
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ::unlink(path.c_str());
+  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(fd, 4), 0);
 
   ClientOptions copts;
   copts.request_timeout_ms = 100.0;
-  Client client(server.socket_path(), copts);
-  Json ping{JsonObject{}};
-  ping["op"] = Json("ping");
-  EXPECT_THROW(client.request(ping), std::runtime_error);
-  server.stop();
-}
-
-TEST(ServerE2E, HandlerModeServesCustomReplies) {
-  ServerOptions opts;
-  opts.socket_path = unique_socket_path("hand");
-  Server server(opts, [](const Json& req) {
-    Json out{JsonObject{}};
-    out["ok"] = Json(true);
-    out["echo"] = Json(req.get_string("op", ""));
-    return out;
-  });
-
-  Client client(server.socket_path());
-  Json req{JsonObject{}};
-  req["op"] = Json("anything");
-  EXPECT_EQ(client.request(req).get_string("echo", ""), "anything");
-  // The shutdown verb is intercepted before the handler in both modes.
-  EXPECT_TRUE(client.shutdown_server());
-  EXPECT_TRUE(server.wait_for(5000.0));
-  server.stop();
+  {
+    Client client(path, copts);
+    Json ping{JsonObject{}};
+    ping["op"] = Json("ping");
+    EXPECT_THROW(client.request(ping), std::runtime_error);
+  }
+  ::close(fd);
+  ::unlink(path.c_str());
 }
 
 TEST(ServerE2E, StopUnblocksIdleConnections) {

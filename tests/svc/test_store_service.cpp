@@ -181,7 +181,6 @@ TEST(StoreScheduler, ColorsPackedGraphZeroCopyEndToEnd) {
 
   JobSpec spec;
   spec.graph = f.path();
-  spec.backend = Backend::kPar;
   spec.algorithm = "jpl";
   spec.keep_colors = true;
   const auto sub = sched.submit(spec);
@@ -202,7 +201,6 @@ TEST(StoreScheduler, HeapGraphReportsNotMapped) {
   Scheduler sched(opts);
   JobSpec spec;
   spec.graph = "gen:ecology-like?scale=0.02&seed=1";
-  spec.backend = Backend::kPar;
   spec.algorithm = "jpl";
   const auto sub = sched.submit(spec);
   ASSERT_TRUE(sub.accepted);

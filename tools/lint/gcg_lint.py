@@ -7,10 +7,9 @@ Rules (see docs/CORRECTNESS.md for the rationale):
                   src/store/ — page-level lifetime must go through
                   store::Mapping so fallback, hints, and unmap stay in
                   one audited place.
-  raw-process     no direct fork/vfork/exec*/posix_spawn calls outside
-                  src/shard/process.* — child processes must go through
-                  shard::ChildProcess so every child is reaped exactly
-                  once and signal dispositions stay consistent.
+  raw-process     no direct fork/vfork/exec*/posix_spawn calls anywhere —
+                  every job is colored inside one process, so nothing in
+                  the tree starts a child process.
   raw-simd        no <immintrin.h>-family includes or _mm*/__m* vector
                   intrinsics outside src/util/simd.* — SIMD must go
                   through gcg::simd so runtime dispatch, the scalar
@@ -20,14 +19,14 @@ Rules (see docs/CORRECTNESS.md for the rationale):
   raw-mutex       no std::mutex/std::lock_guard/std::unique_lock/
                   std::condition_variable (or the unannotated lowercase
                   sync::mutex/sync::condition_variable aliases) in
-                  src/par/, src/svc/, src/shard/, src/store/ — locking
+                  src/par/, src/svc/, src/store/ — locking
                   there must go through the capability-annotated
                   sync::Mutex / sync::LockGuard / sync::CondVar wrappers
                   (util/sync.hpp) so clang Thread Safety Analysis sees
                   every acquisition.
   raw-narrow      no integer-target static_cast in the conversion-clean
-                  core (src/graph/, src/par/, src/svc/, src/shard/,
-                  src/store/, src/check/, src/util/) outside
+                  core (src/graph/, src/par/, src/svc/, src/store/,
+                  src/check/, src/util/) outside
                   util/narrow.hpp — every cross-width or cross-sign
                   integer conversion must be a named, greppable call:
                   gcg::narrow<T> (checked value-preserving) or
@@ -131,16 +130,15 @@ MMAP_MESSAGE = ("raw mmap/munmap/madvise/mincore outside src/store/ — go "
                 "through store::Mapping so lifetime, fallback, and paging "
                 "hints stay in one place")
 
-# raw-process: shard::ChildProcess owns every fork/exec. Call-shaped
-# matches, with an optional global-scope `::` (the `(?<![\w.:])` guard
-# still rejects `std::system`-style qualified names and members).
+# raw-process: no path is exempt. Call-shaped matches, with an optional
+# global-scope `::` (the `(?<![\w.:])` guard still rejects
+# `std::system`-style qualified names and members).
 PROC_TOKEN = re.compile(
     r"(?<![\w.:])(?:::\s*)?"
     r"(?:fork|vfork|execl|execle|execlp|execv|execve|execvp|execvpe|"
     r"posix_spawnp?)\s*\(")
-PROC_SCOPE_OK = re.compile(r"(^|/)src/shard/process\.")
-PROC_MESSAGE = ("raw fork/exec outside src/shard/process.* — spawn through "
-                "shard::ChildProcess so children are reaped exactly once")
+PROC_MESSAGE = ("raw fork/exec — every job is colored in one process; "
+                "nothing in the tree starts a child process")
 
 # raw-simd: gcg::simd owns every vector intrinsic. Matches the intrinsic
 # headers (<immintrin.h> and friends, <arm_neon.h>), call-shaped _mm*/
@@ -166,7 +164,7 @@ MUTEX_TOKEN = re.compile(
     r"shared_mutex|shared_timed_mutex|lock_guard|unique_lock|scoped_lock|"
     r"shared_lock|condition_variable(?:_any)?)\b"
     r"|\bsync\s*::\s*(?:mutex|condition_variable)\b")
-MUTEX_SCOPE = re.compile(r"(^|/)src/(par|svc|shard|store)/")
+MUTEX_SCOPE = re.compile(r"(^|/)src/(par|svc|store)/")
 MUTEX_MESSAGE = ("raw mutex/lock in the annotated core — use sync::Mutex / "
                  "sync::LockGuard / sync::CondVar (util/sync.hpp) so clang "
                  "thread safety analysis sees every acquisition")
@@ -190,7 +188,7 @@ NARROW_TOKEN = re.compile(
     r"static_cast\s*<\s*(?:const\s+)?(?:(?:std|gcg)\s*::\s*)?"
     r"(?:" + NARROW_INT_TYPE + r")\s*>")
 NARROW_SCOPE = re.compile(
-    r"(^|/)src/(graph|par|svc|shard|store|check|util)/")
+    r"(^|/)src/(graph|par|svc|store|check|util)/")
 NARROW_SCOPE_OK = re.compile(r"(^|/)src/util/narrow\.")
 NARROW_MESSAGE = ("integer-target static_cast in the conversion-clean core "
                   "— spell it gcg::narrow<T> (checked) or "
@@ -352,7 +350,6 @@ def lint_file(path, raw_text):
 
     in_seam_scope = bool(SEAM_SCOPE.search(path.replace(os.sep, "/")))
     in_store_scope = bool(MMAP_SCOPE_OK.search(path.replace(os.sep, "/")))
-    in_process_scope = bool(PROC_SCOPE_OK.search(path.replace(os.sep, "/")))
     in_simd_scope = bool(SIMD_SCOPE_OK.search(path.replace(os.sep, "/")))
     in_mutex_scope = bool(MUTEX_SCOPE.search(path.replace(os.sep, "/")))
     in_narrow_scope = (
@@ -371,8 +368,7 @@ def lint_file(path, raw_text):
         if (not in_store_scope and MMAP_RULE not in here
                 and MMAP_TOKEN.search(code)):
             findings.append(Finding(path, idx, MMAP_RULE, MMAP_MESSAGE))
-        if (not in_process_scope and PROC_RULE not in here
-                and PROC_TOKEN.search(code)):
+        if PROC_RULE not in here and PROC_TOKEN.search(code):
             findings.append(Finding(path, idx, PROC_RULE, PROC_MESSAGE))
         if (not in_simd_scope and SIMD_RULE not in here
                 and SIMD_TOKEN.search(code)):
@@ -651,8 +647,8 @@ SELF_TEST_CASES = [
      "void f(void* p, long n) { munmap(p, n); }"
      "  // lint: allow(raw-mmap) unmapping a region a C library handed us\n",
      set()),
-    # raw-process: everywhere EXCEPT src/shard/process.* — the case name
-    # is the path the scope check sees.
+    # raw-process: everywhere, with no exempt path — the case name is the
+    # path the scope check sees.
     ("src/svc/raw_fork",
      "#include <unistd.h>\nint f() { return fork(); }\n",
      {"raw-process"}),
@@ -668,13 +664,10 @@ SELF_TEST_CASES = [
      "int f(pid_t* p, char** a, char** e) "
      "{ return posix_spawn(p, a[0], nullptr, nullptr, a, e); }\n",
      {"raw-process"}),
-    ("src/shard/process",  # lint_file sees "src/shard/process.cpp"
+    ("src/shard/process",  # the one path exempt before; no longer
      "#include <unistd.h>\n"
      "int f(char** argv) { if (::fork() == 0) ::execv(argv[0], argv); "
      "return 0; }\n",
-     set()),
-    ("src/shard/worker_fork_not_exempt",
-     "#include <unistd.h>\nint f() { return fork(); }\n",
      {"raw-process"}),
     ("src/util/process_named_fn_ok",
      "int my_fork();\nint f() { return my_fork(); }\n",
@@ -687,7 +680,7 @@ SELF_TEST_CASES = [
     ("src/util/process_suppressed_ok",
      "#include <unistd.h>\n"
      "int f() { return fork(); }"
-     "  // lint: allow(raw-process) daemonizing before the fleet exists\n",
+     "  // lint: allow(raw-process) daemonizing at startup\n",
      set()),
     # raw-simd: everywhere EXCEPT src/util/simd.* — the case name is the
     # path the scope check sees.
@@ -722,7 +715,7 @@ SELF_TEST_CASES = [
      "void f() { _mm_pause(); }"
      "  // lint: allow(raw-simd) spin-wait hint predates the seam\n",
      set()),
-    # raw-mutex: scoped to src/par/, src/svc/, src/shard/, src/store/ —
+    # raw-mutex: scoped to src/par/, src/svc/, src/store/ —
     # the case name doubles as the path the scope check sees.
     ("src/svc/raw_mutex",
      "#include <mutex>\nstd::mutex mu;\n",
@@ -731,7 +724,7 @@ SELF_TEST_CASES = [
      "#include <mutex>\n"
      "void f(std::mutex& m) { std::lock_guard<std::mutex> lock(m); }\n",
      {"raw-mutex"}),
-    ("src/shard/raw_condition_variable",
+    ("src/svc/raw_condition_variable",
      "#include <condition_variable>\nstd::condition_variable cv;\n",
      {"raw-mutex"}),
     ("src/store/raw_unique_lock",
@@ -770,8 +763,8 @@ SELF_TEST_CASES = [
      "std::mutex mu;  // lint: allow(raw-mutex)\n",
      {"lint-suppression", "raw-mutex"}),
     # raw-narrow: integer-target static_cast banned in the
-    # conversion-clean core (src/graph, par, svc, shard, store, check,
-    # util) outside util/narrow.* — the case name doubles as the path the
+    # conversion-clean core (src/graph, par, svc, store, check, util)
+    # outside util/narrow.* — the case name doubles as the path the
     # scope check sees.
     ("src/graph/raw_narrow_vid",
      '#include "graph/csr.hpp"\n'

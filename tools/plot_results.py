@@ -144,32 +144,6 @@ def try_plot(blocks, outdir):
             ax.legend(fontsize=7)
             save(fig, f"{slug(experiment)}__{slug(title)}")
 
-        # Service latency/throughput curve (bench_svc_throughput):
-        # offered QPS on x, p50 and p99 latency on y (log scale), one
-        # point per client-count sweep step.
-        if "offered_qps" in header and "p50_ms" in header and "p99_ms" in header:
-            qcol = header.index("offered_qps")
-            order = sorted(range(len(data)), key=lambda k: float(data[k][qcol]))
-            xs = [float(data[k][qcol]) for k in order]
-            fig, ax = plt.subplots(figsize=(6, 4))
-            for pcol, style in (("p50_ms", "o-"), ("p99_ms", "s--")):
-                ys = [float(data[k][header.index(pcol)]) for k in order]
-                ax.plot(xs, ys, style, markersize=4, label=pcol)
-            if "clients" in header:
-                ccol = header.index("clients")
-                for k in order:
-                    ax.annotate(data[k][ccol],
-                                (float(data[k][qcol]),
-                                 float(data[k][header.index("p99_ms")])),
-                                textcoords="offset points", xytext=(0, 5),
-                                fontsize=6)
-            ax.set_yscale("log")
-            ax.set_xlabel("offered load (requests/s)")
-            ax.set_ylabel("latency (ms)")
-            ax.set_title(title, fontsize=9)
-            ax.legend(fontsize=7)
-            save(fig, f"{slug(experiment)}__latency_curve")
-
         # Line charts for per-iteration activity.
         if "iteration" in header and "active" in header:
             graphs = sorted(set(cols["graph"]), key=cols["graph"].index)
