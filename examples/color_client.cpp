@@ -8,7 +8,9 @@
 //   color_client stats | ping | shutdown
 //
 // <graph-spec> is a file path (.mtx/.col/.el/.gbin) or a generator spec
-// like gen:rmat-like?scale=0.25&seed=1 (see docs/SERVICE.md).
+// like gen:rmat-like?scale=0.25&seed=1 (see docs/SERVICE.md). A flag the
+// verb does not read is a usage error: it exits 2 and names the flag
+// before connecting.
 #include <algorithm>
 #include <atomic>
 #include <iostream>
@@ -94,6 +96,23 @@ int main(int argc, char** argv) {
   if (cli.positional().empty()) return usage();
   const std::string verb = cli.positional()[0];
   const std::string socket = cli.get("socket", kDefaultSocket);
+  // Every flag submit reads. Marking them read leaves unused() with the
+  // typos and the flags of removed features (say --shards), which would
+  // otherwise be dropped silently.
+  if (verb == "submit") {
+    for (const char* name :
+         {"algorithm", "priority", "seed", "order", "deadline-ms",
+          "keep-colors", "wait", "count", "concurrency"}) {
+      cli.has(name);
+    }
+  }
+  if (const std::vector<std::string> unknown = cli.unused();
+      !unknown.empty()) {
+    for (const std::string& name : unknown) {
+      std::cerr << "error: unknown flag --" << name << '\n';
+    }
+    return 2;
+  }
 
   try {
     if (verb == "submit") {

@@ -6,7 +6,7 @@
 //
 //   ./examples/color_server --socket /tmp/gcg.sock
 //                           [--dispatchers 2] [--threads-per-job 0]
-//                           [--queue 64] [--batch 8]
+//                           [--queue 64]
 //                           [--cache-graphs 16] [--cache-mb 1024]
 //                           [--mapped-cache-gb 256] [--no-mmap]
 //                           [--preload g1,g2,...]
@@ -94,8 +94,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned>(cli.get_int("threads-per-job", 0));
   opts.scheduler.queue_capacity =
       static_cast<std::size_t>(cli.get_int("queue", 64));
-  opts.scheduler.batch_limit =
-      static_cast<std::size_t>(cli.get_int("batch", 8));
   opts.scheduler.registry.max_entries =
       static_cast<std::size_t>(cli.get_int("cache-graphs", 16));
   opts.scheduler.registry.max_bytes =
@@ -123,7 +121,6 @@ int main(int argc, char** argv) {
     std::cout << "color_server listening on " << server.socket_path() << "\n"
               << "  dispatchers=" << opts.scheduler.dispatchers
               << " queue=" << opts.scheduler.queue_capacity
-              << " batch=" << opts.scheduler.batch_limit
               << " cache-graphs=" << opts.scheduler.registry.max_entries
               << "\n";
 

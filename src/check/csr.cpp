@@ -63,9 +63,9 @@ std::string CsrIssue::to_string() const {
 
 namespace {
 
-/// One linear sweep that proves a CSR with sound offsets is well formed
-/// under the default options: every row strictly ascending and in range,
-/// no self loop unless allowed, and every arc matched by its mate.
+/// One linear sweep that proves a CSR with sound offsets is well formed:
+/// every row strictly ascending and in range, no self loop, and every arc
+/// matched by its mate.
 ///
 /// Rows are visited in ascending u, so the mates of row v's lower part
 /// (its entries below v) are met in the order they sit in that row: the
@@ -73,26 +73,22 @@ namespace {
 /// claimed[v] counts row v's claimed entries; a row of distinct in-range
 /// vertices has fewer than n of them, so a vid_t holds the count. When
 /// the sweep reaches row u, its lower part must be exactly its claimed
-/// prefix, so the rest of the row (an optional self loop, then the upper
-/// part) is the only part read here, and it must ascend strictly above u.
+/// prefix, so the rest of the row (its upper part) is the only part read
+/// here, and it must ascend strictly above u.
 ///
 /// False means some check failed; the caller's exact sweeps then name the
 /// first defect in row order, so the issue never depends on this pass.
 bool well_formed_ascending(std::span<const eid_t> rows,
-                           std::span<const vid_t> cols, vid_t n,
-                           bool allow_self_loops) {
+                           std::span<const vid_t> cols, vid_t n) {
   std::vector<vid_t> claimed(n, 0);
   for (vid_t u = 0; u < n; ++u) {
     const eid_t end = rows[u + 1];
     eid_t k = rows[u] + claimed[u];
-    if (k < end && cols[k] == u) {
-      if (!allow_self_loops) return false;
-      ++k;
-    }
     vid_t prev = u;
     for (; k < end; ++k) {
       const vid_t v = cols[k];
-      // v <= prev: an unclaimed lower arc, or a row out of order.
+      // v <= prev: a self loop, an unclaimed lower arc, or a row out of
+      // order.
       if (v <= prev || v >= n) return false;
       prev = v;
       const eid_t mate = rows[v] + claimed[v];
@@ -106,8 +102,7 @@ bool well_formed_ascending(std::span<const eid_t> rows,
 }  // namespace
 
 std::optional<CsrIssue> validate_csr(std::span<const eid_t> rows,
-                                     std::span<const vid_t> cols,
-                                     const CsrCheckOptions& opts) {
+                                     std::span<const vid_t> cols) {
   if (rows.empty()) {
     return CsrIssue{CsrDefect::kEmptyOffsets, 0, 0, 0};
   }
@@ -124,10 +119,7 @@ std::optional<CsrIssue> validate_csr(std::span<const eid_t> rows,
   if (rows.back() != cols.size()) {
     return CsrIssue{CsrDefect::kArcCountMismatch, n, rows.back(), cols.size()};
   }
-  if (opts.require_sorted && opts.require_unique && opts.require_symmetric &&
-      well_formed_ascending(rows, cols, n, opts.allow_self_loops)) {
-    return std::nullopt;
-  }
+  if (well_formed_ascending(rows, cols, n)) return std::nullopt;
 
   for (vid_t u = 0; u < n; ++u) {
     for (eid_t k = rows[u]; k < rows[u + 1]; ++k) {
@@ -136,17 +128,17 @@ std::optional<CsrIssue> validate_csr(std::span<const eid_t> rows,
         return CsrIssue{CsrDefect::kColumnOutOfRange, u, v,
                         narrow<std::size_t>(k)};
       }
-      if (v == u && !opts.allow_self_loops) {
+      if (v == u) {
         return CsrIssue{CsrDefect::kSelfLoop, u, v,
                         narrow<std::size_t>(k)};
       }
       if (k > rows[u]) {
         const vid_t prev = cols[k - 1];
-        if (opts.require_unique && v == prev) {
+        if (v == prev) {
           return CsrIssue{CsrDefect::kDuplicateNeighbor, u, v,
                           narrow<std::size_t>(k)};
         }
-        if (opts.require_sorted && v < prev) {
+        if (v < prev) {
           return CsrIssue{CsrDefect::kUnsortedNeighbors, u, v,
                           narrow<std::size_t>(k)};
         }
@@ -154,28 +146,21 @@ std::optional<CsrIssue> validate_csr(std::span<const eid_t> rows,
     }
   }
 
-  if (opts.require_symmetric) {
-    for (vid_t u = 0; u < n; ++u) {
-      for (eid_t k = rows[u]; k < rows[u + 1]; ++k) {
-        const vid_t v = cols[k];
-        if (v == u) continue;  // self loop (only reachable when allowed)
-        const vid_t* first = cols.data() + rows[v];
-        const vid_t* last = cols.data() + rows[v + 1];
-        const bool found = opts.require_sorted
-                               ? std::binary_search(first, last, u)
-                               : std::find(first, last, u) != last;
-        if (!found) {
-          return CsrIssue{CsrDefect::kAsymmetricEdge, u, v,
-                          narrow<std::size_t>(k)};
-        }
+  for (vid_t u = 0; u < n; ++u) {
+    for (eid_t k = rows[u]; k < rows[u + 1]; ++k) {
+      const vid_t v = cols[k];
+      if (!std::binary_search(cols.data() + rows[v],
+                              cols.data() + rows[v + 1], u)) {
+        return CsrIssue{CsrDefect::kAsymmetricEdge, u, v,
+                        narrow<std::size_t>(k)};
       }
     }
   }
   return std::nullopt;
 }
 
-std::optional<CsrIssue> validate_csr(const Csr& g, const CsrCheckOptions& opts) {
-  return validate_csr(g.row_offsets(), g.col_indices(), opts);
+std::optional<CsrIssue> validate_csr(const Csr& g) {
+  return validate_csr(g.row_offsets(), g.col_indices());
 }
 
 }  // namespace gcg::check

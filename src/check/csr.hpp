@@ -47,26 +47,17 @@ struct CsrIssue {
   std::string to_string() const;
 };
 
-struct CsrCheckOptions {
-  bool require_sorted = true;      ///< adjacency lists strictly ascending
-  bool require_unique = true;      ///< no duplicate neighbours
-  bool require_symmetric = true;   ///< undirected: every arc has a mate
-  bool allow_self_loops = false;
-};
-
-/// Validate raw CSR arrays. Returns the first issue found, or nullopt if
-/// the arrays form a well-formed graph under `opts`. A valid graph costs
-/// one O(V + E) sweep under the default options (self loops may be
-/// allowed). Relaxed options, and locating the first defect of an invalid
-/// graph, take a row-order sweep plus, for symmetry, one search of the
-/// reverse row per arc: O(E log d) sorted, O(E d) unsorted.
+/// Validate raw CSR arrays against the one contract every kernel relies
+/// on: sorted, duplicate-free, loop-free, symmetric adjacency. Returns
+/// the first issue in row order, or nullopt if the arrays form such a
+/// graph. A valid graph costs one O(V + E) sweep; an invalid one then
+/// takes a row-order sweep plus one binary search of the reverse row per
+/// arc, O(E log d), to name its first defect.
 std::optional<CsrIssue> validate_csr(std::span<const eid_t> rows,
-                                     std::span<const vid_t> cols,
-                                     const CsrCheckOptions& opts = {});
+                                     std::span<const vid_t> cols);
 
 /// Validate an already-constructed Csr (constructor guarantees the shape
 /// invariants; this still re-checks everything, including symmetry).
-std::optional<CsrIssue> validate_csr(const Csr& g,
-                                     const CsrCheckOptions& opts = {});
+std::optional<CsrIssue> validate_csr(const Csr& g);
 
 }  // namespace gcg::check

@@ -13,23 +13,19 @@ void GraphBuilder::add_edge(vid_t u, vid_t v) {
   edges_.emplace_back(u, v);
 }
 
-Csr GraphBuilder::build(const BuildOptions& opts) {
+Csr GraphBuilder::build() {
   std::vector<std::pair<vid_t, vid_t>> arcs;
-  arcs.reserve(edges_.size() * (opts.symmetrize ? 2 : 1));
+  arcs.reserve(edges_.size() * 2);
   for (auto [u, v] : edges_) {
-    if (opts.remove_self_loops && u == v) continue;
+    if (u == v) continue;
     arcs.emplace_back(u, v);
-    if (opts.symmetrize && u != v) arcs.emplace_back(v, u);
+    arcs.emplace_back(v, u);
   }
   edges_.clear();
   edges_.shrink_to_fit();
 
-  if (opts.sort_neighbors || opts.dedup) {
-    std::sort(arcs.begin(), arcs.end());
-  }
-  if (opts.dedup) {
-    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-  }
+  std::sort(arcs.begin(), arcs.end());
+  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
 
   std::vector<eid_t> rows(std::size_t{n_} + 1, 0);
   for (auto [u, v] : arcs) {
@@ -38,24 +34,18 @@ Csr GraphBuilder::build(const BuildOptions& opts) {
   }
   for (std::size_t i = 1; i < rows.size(); ++i) rows[i] += rows[i - 1];
 
+  // arcs are globally sorted, so filling in order keeps lists sorted.
   std::vector<vid_t> cols(arcs.size());
-  if (opts.sort_neighbors || opts.dedup) {
-    // arcs are globally sorted, so filling in order keeps lists sorted.
-    for (std::size_t i = 0; i < arcs.size(); ++i) cols[i] = arcs[i].second;
-  } else {
-    std::vector<eid_t> cursor(rows.begin(), rows.end() - 1);
-    for (auto [u, v] : arcs) cols[cursor[u]++] = v;
-  }
+  for (std::size_t i = 0; i < arcs.size(); ++i) cols[i] = arcs[i].second;
   return Csr(std::move(rows), std::move(cols));
 }
 
 Csr GraphBuilder::from_edges(vid_t n,
-                             const std::vector<std::pair<vid_t, vid_t>>& edges,
-                             const BuildOptions& opts) {
+                             const std::vector<std::pair<vid_t, vid_t>>& edges) {
   GraphBuilder b(n);
   b.reserve(edges.size());
   for (auto [u, v] : edges) b.add_edge(u, v);
-  return b.build(opts);
+  return b.build();
 }
 
 }  // namespace gcg

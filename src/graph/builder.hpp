@@ -1,6 +1,7 @@
 // Edge-list accumulator that produces clean CSR graphs: symmetrized,
 // deduplicated, self-loop-free, sorted adjacency — the invariants every
-// coloring kernel in this library relies on.
+// coloring kernel in this library relies on, and the one contract
+// check::validate_csr checks.
 #pragma once
 
 #include <cstdint>
@@ -11,13 +12,6 @@
 
 namespace gcg {
 
-struct BuildOptions {
-  bool symmetrize = true;        ///< add (v,u) for every (u,v)
-  bool remove_self_loops = true; ///< drop (u,u)
-  bool dedup = true;             ///< drop parallel edges
-  bool sort_neighbors = true;    ///< sort each adjacency list ascending
-};
-
 class GraphBuilder {
  public:
   explicit GraphBuilder(vid_t num_vertices);
@@ -27,12 +21,14 @@ class GraphBuilder {
   std::size_t pending_edges() const { return edges_.size(); }
   vid_t num_vertices() const { return n_; }
 
-  /// Consumes the accumulated edges and builds the CSR.
-  Csr build(const BuildOptions& opts = {});
+  /// Consumes the accumulated edges and builds the CSR: (v,u) is added
+  /// for every (u,v), self loops and parallel edges are dropped, and
+  /// every adjacency list is sorted ascending.
+  Csr build();
 
   /// Convenience: build a CSR directly from an edge list.
-  static Csr from_edges(vid_t n, const std::vector<std::pair<vid_t, vid_t>>& edges,
-                        const BuildOptions& opts = {});
+  static Csr from_edges(vid_t n,
+                        const std::vector<std::pair<vid_t, vid_t>>& edges);
 
  private:
   vid_t n_;

@@ -46,13 +46,11 @@ std::shared_ptr<const MappedGraph> MappedGraph::open(const std::string& path,
   auto out = std::shared_ptr<MappedGraph>(new MappedGraph());  // lint: allow(naked-new) private ctor — make_shared cannot reach it
   out->path_ = path;
 
-  if (opts.storage != OpenOptions::Storage::kHeap) {
-    try {
-      out->mapping_ = Mapping::open(path);
-    } catch (const MappingError&) {
-      // Graceful fallback: the file is there and readable, only the
-      // mapping failed. kAuto degrades to the heap path below.
-    }
+  try {
+    out->mapping_ = Mapping::open(path);
+  } catch (const MappingError&) {
+    // Graceful fallback: the file is there and readable, only the
+    // mapping failed. The open degrades to the heap path below.
   }
 
   if (out->mapping_) {

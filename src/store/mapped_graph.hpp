@@ -27,11 +27,6 @@
 namespace gcg::store {
 
 struct OpenOptions {
-  enum class Storage {
-    kAuto,  ///< mmap; fall back to a heap read if mapping fails
-    kHeap,  ///< ordinary read into owning vectors (for A/B tests)
-  };
-  Storage storage = Storage::kAuto;
   /// Verify the per-section checksums on open. Off by default: the
   /// verify is a second full pass over both sections, on top of the CSR
   /// validation every registry load runs — turn it on for untrusted
@@ -60,14 +55,14 @@ class MappedGraph {
   const HeaderV2& header() const { return header_; }
   const std::string& path() const { return path_; }
 
-  /// Page-cache residency of the mapped file (everything "resident" in
-  /// heap mode — the copy is the residency).
+  /// Page-cache residency of the mapped file (everything "resident"
+  /// after the heap fallback — the copy is the residency).
   ResidencyStats residency() const;
 
  private:
   MappedGraph() = default;
 
-  std::shared_ptr<const Mapping> mapping_;  ///< null in heap mode
+  std::shared_ptr<const Mapping> mapping_;  ///< null after heap fallback
   Csr graph_;
   HeaderV2 header_{};
   std::size_t file_bytes_ = 0;

@@ -21,6 +21,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Connect retries back off exponentially: the first waits kFirstRetryMs,
+/// and each later one doubles up to kMaxRetryMs.
+constexpr double kFirstRetryMs = 5.0;
+constexpr double kMaxRetryMs = 200.0;
+
 double ms_until(Clock::time_point deadline) {
   return std::chrono::duration<double, std::milli>(deadline - Clock::now())
       .count();
@@ -49,7 +54,7 @@ Client::Client(const std::string& socket_path, const Options& opts)
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double, std::milli>(
                              opts_.connect_timeout_ms));
-  double backoff_ms = std::max(0.1, opts_.backoff_initial_ms);
+  double backoff_ms = kFirstRetryMs;
   while (true) {
     fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd_ < 0) {
@@ -72,7 +77,7 @@ Client::Client(const std::string& socket_path, const Options& opts)
     const double nap = std::min(backoff_ms, left);
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(nap));
-    backoff_ms = std::min(backoff_ms * 2.0, opts_.backoff_max_ms);
+    backoff_ms = std::min(backoff_ms * 2.0, kMaxRetryMs);
   }
 }
 

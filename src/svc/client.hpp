@@ -14,13 +14,11 @@
 namespace gcg::svc {
 
 struct ClientOptions {
-  /// Total budget for connect retries. A fresh server (or a forked
-  /// worker) needs a moment between exec and listen(); retrying under
-  /// this budget with capped exponential backoff absorbs that race.
-  /// 0 = single attempt, fail immediately.
+  /// Total budget for connect retries. A fresh server needs a moment
+  /// between exec and listen(); retrying under this budget absorbs that
+  /// race. The first retry waits 5 ms, and each wait doubles up to
+  /// 200 ms. 0 = single attempt, fail immediately.
   double connect_timeout_ms = 0.0;
-  double backoff_initial_ms = 5.0;  ///< first retry delay; doubles per try
-  double backoff_max_ms = 200.0;    ///< backoff cap
   /// Deadline for each request's reply (send + read). 0 = wait forever.
   /// On expiry request() throws and the connection is left in an
   /// undefined protocol state — drop the Client.

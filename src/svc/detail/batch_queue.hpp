@@ -53,10 +53,10 @@ class BasicBatchQueue {
     return true;
   }
 
-  /// Pops the oldest job plus up to `batch_limit - 1` younger jobs whose
+  /// Pops the oldest job plus up to `max_jobs - 1` younger jobs whose
   /// key matches the front's. Blocks while empty; returns an empty vector
   /// once closed and drained.
-  std::vector<JobT> pop_batch(std::size_t batch_limit) {
+  std::vector<JobT> pop_batch(std::size_t max_jobs) {
     sync::LockGuard lock(mu_);
     while (!closed_ && q_.empty()) cv_.wait(mu_);
     std::vector<JobT> batch;
@@ -67,7 +67,7 @@ class BasicBatchQueue {
     const auto& key = Traits::key(batch.front());
     for (auto it = q_.begin();
          it != q_.end() &&
-         batch.size() < std::max<std::size_t>(batch_limit, 1);) {
+         batch.size() < std::max<std::size_t>(max_jobs, 1);) {
       if (Traits::key(*it) == key) {
         batch.push_back(std::move(*it));
         it = q_.erase(it);
@@ -92,7 +92,7 @@ class BasicBatchQueue {
   }
 
   /// Pops the oldest queued job without blocking; JobT{} when empty.
-  /// Used by non-draining shutdown to retire the backlog.
+  /// Used by non-draining shutdown to retire the queued jobs.
   JobT remove_front() {
     sync::LockGuard lock(mu_);
     if (q_.empty()) return JobT{};

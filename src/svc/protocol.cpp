@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "graph/reorder.hpp"
 #include "util/narrow.hpp"
 
 namespace gcg::svc {
@@ -117,19 +116,7 @@ JobSpec job_spec_from_json(const Json& req) {
   spec.priority = req.get_string("priority", "random");
   spec.seed = seed_or(req, spec.seed);
   spec.order = req.get_string("order", "");
-  if (!spec.order.empty()) {
-    try {
-      order_from_name(spec.order);
-    } catch (const std::exception&) {
-      throw std::runtime_error(
-          "\"order\" must be one of natural, random, degree-desc, "
-          "degree-asc, bfs, rcm");
-    }
-  }
   spec.deadline_ms = req.get_double("deadline_ms", 0.0);
-  if (spec.deadline_ms < 0.0) {
-    throw std::runtime_error("\"deadline_ms\" must be >= 0");
-  }
   spec.keep_colors = req.get_bool("keep_colors", false);
   return spec;
 }
@@ -244,8 +231,9 @@ Json handle_request(Scheduler& sched, const Json& req) {
       if (!snap) {
         return error_reply(kErrUnknownId,
                            "no job " + std::to_string(id) +
-                               " (completed jobs are retained up to the "
-                               "scheduler's retain_jobs bound)");
+                               " (the scheduler keeps the latest " +
+                               std::to_string(kRetainedJobs) +
+                               " completed jobs)");
       }
       return snapshot_reply(*snap);
     }

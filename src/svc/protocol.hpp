@@ -45,7 +45,8 @@ Json error_reply(const std::string& code, const std::string& detail);
 /// Parses the submit-verb fields of `req` into a JobSpec; unknown keys
 /// are ignored. Throws std::runtime_error on missing/ill-typed fields and
 /// on any "backend" other than "par" (the server maps that to a
-/// bad_request reply).
+/// bad_request reply). The values themselves (names, order, deadline)
+/// are checked by Scheduler::submit.
 JobSpec job_spec_from_json(const Json& req);
 Json job_spec_to_json(const JobSpec& spec);
 

@@ -20,7 +20,10 @@ double ms_since(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-/// Validates the spec's enumerated fields; returns an error detail or "".
+/// Validates the spec's enumerated fields and its deadline; returns an
+/// error detail or "". The one place a JobSpec's values are checked, so
+/// a submit over the socket and an in-process one are refused, and
+/// counted, alike.
 std::string validate_spec(const JobSpec& spec) {
   try {
     priority_mode_from_name(spec.priority);
@@ -28,7 +31,15 @@ std::string validate_spec(const JobSpec& spec) {
   } catch (const std::exception& e) {
     return e.what();
   }
-  if (spec.deadline_ms < 0.0) return "deadline_ms must be >= 0";
+  if (!spec.order.empty()) {
+    try {
+      order_from_name(spec.order);
+    } catch (const std::exception&) {
+      return "\"order\" must be one of natural, random, degree-desc, "
+             "degree-asc, bfs, rcm";
+    }
+  }
+  if (spec.deadline_ms < 0.0) return "\"deadline_ms\" must be >= 0";
   return "";
 }
 
@@ -38,7 +49,7 @@ Scheduler::Scheduler(SchedulerOptions opts)
     : opts_(opts),
       registry_(opts.registry),
       queue_(opts.queue_capacity),
-      latency_ms_(opts.latency_window) {
+      latency_ms_(kLatencyWindow) {
   const unsigned dispatchers = std::max(1u, opts_.dispatchers);
   unsigned per_job = opts_.threads_per_job;
   if (per_job == 0) {
@@ -50,7 +61,7 @@ Scheduler::Scheduler(SchedulerOptions opts)
       par::ThreadPool pool(per_job);
       (void)d;
       while (true) {
-        std::vector<JobPtr> batch = queue_.pop_batch(opts_.batch_limit);
+        std::vector<JobPtr> batch = queue_.pop_batch(kBatchLimit);
         if (batch.empty()) return;  // closed and drained
         run_batch(pool, batch);
       }
@@ -257,8 +268,8 @@ void Scheduler::run_one(par::ThreadPool& pool, const JobPtr& job,
     popts.priority = priority_mode_from_name(job->spec.priority);
     popts.seed = job->spec.seed;
     if (!job->spec.order.empty()) {
-      // Validated at the protocol boundary; the runner reorders, colors
-      // the relabeled graph, and unmaps back to the caller's vertex ids.
+      // Validated at submit; the runner reorders, colors the relabeled
+      // graph, and unmaps back to the caller's vertex ids.
       popts.order = order_from_name(job->spec.order);
     }
     JobRecord* rec = job.get();
@@ -329,7 +340,7 @@ void Scheduler::finish(const JobPtr& job, JobStatus status, JobResult result) {
   // Bound the record table: retire the oldest terminal records.
   sync::LockGuard lock(jobs_mu_);
   terminal_order_.push_back(job->id);
-  while (terminal_order_.size() > opts_.retain_jobs) {
+  while (terminal_order_.size() > kRetainedJobs) {
     jobs_.erase(terminal_order_.front());
     terminal_order_.pop_front();
   }

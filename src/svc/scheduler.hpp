@@ -38,20 +38,27 @@ struct SchedulerOptions {
   /// dispatcher's pool.
   unsigned threads_per_job = 0;
   std::size_t queue_capacity = 64;   ///< queued jobs before submit rejects
-  std::size_t batch_limit = 8;       ///< max same-graph jobs per dispatch
-  std::size_t retain_jobs = 1024;    ///< terminal records kept for queries
-  /// Latency samples kept for percentile reporting (sliding window, so
-  /// memory and stats-query cost stay bounded on a long-running service).
-  std::size_t latency_window = 4096;
   GraphRegistry::Options registry;
 };
 
+/// Most same-graph jobs one dispatch takes off the queue.
+inline constexpr std::size_t kBatchLimit = 8;
+/// Terminal job records kept for status/result queries, oldest evicted.
+inline constexpr std::size_t kRetainedJobs = 1024;
+/// Latency samples kept for percentile reporting (a sliding window, so
+/// memory and stats-query cost stay bounded on a long-running service).
+inline constexpr std::size_t kLatencyWindow = 4096;
+
 /// Counters the `stats` verb reports. Latency covers terminal jobs
 /// (submit -> done/failed/cancelled); mean/max are all-time, percentiles
-/// are over the most recent `latency_window` samples.
+/// are over the most recent kLatencyWindow samples.
 struct SchedulerStats {
   std::uint64_t submitted = 0;   ///< accepted into the queue
-  std::uint64_t rejected = 0;    ///< refused: queue full or bad request
+  /// Refused by submit: queue full, shutting down, or a bad spec (graph
+  /// key, algorithm, priority, order, deadline). A request the protocol
+  /// decoder refuses (wrong JSON types, no graph, a backend other than
+  /// par) never reaches the scheduler and is not counted.
+  std::uint64_t rejected = 0;
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   std::uint64_t cancelled = 0;

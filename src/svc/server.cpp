@@ -13,12 +13,14 @@
 
 #include "svc/protocol.hpp"
 #include "util/expect.hpp"
-#include "util/log.hpp"
 #include "util/narrow.hpp"
 
 namespace gcg::svc {
 
 namespace {
+
+/// Connects the kernel queues for listen() before accept() takes them.
+constexpr int kListenQueue = 64;
 
 #if !defined(NDEBUG)
 // Runtime check of the documented mu_ -> done_mu_ lock order (server.hpp).
@@ -138,7 +140,7 @@ void Server::start() {
     throw std::runtime_error("server: bind(" + opts_.socket_path +
                              "): " + std::strerror(err));
   }
-  if (::listen(listen_fd_, opts_.backlog) < 0) {
+  if (::listen(listen_fd_, kListenQueue) < 0) {
     const int err = errno;
     ::close(listen_fd_);
     ::unlink(opts_.socket_path.c_str());
@@ -321,7 +323,6 @@ void Server::stop() {
   }
   if (scheduler_) scheduler_->shutdown(/*drain=*/true);
   ::unlink(opts_.socket_path.c_str());
-  GCG_LOG(kInfo) << "svc: server on " << opts_.socket_path << " stopped";
 }
 
 std::uint64_t Server::connections_served() const {

@@ -21,7 +21,6 @@ namespace gcg::svc {
 struct ServerOptions {
   std::string socket_path;  ///< required; unlinked+rebound on start
   SchedulerOptions scheduler;
-  int backlog = 64;
 };
 
 class Server {

@@ -22,7 +22,6 @@
 namespace gcg {
 namespace {
 
-using check::CsrCheckOptions;
 using check::CsrDefect;
 using check::CsrIssue;
 using check::validate_csr;
@@ -46,8 +45,10 @@ TEST(ValidateCsr, MalformedTable) {
       {"unsorted_row2", {0, 1, 3, 4}, {1, 2, 0, 1}, CsrDefect::kUnsortedNeighbors},
       {"duplicate", {0, 2, 4}, {1, 1, 0, 0}, CsrDefect::kDuplicateNeighbor},
       {"self_loop", {0, 1, 2}, {0, 1}, CsrDefect::kSelfLoop},
+      {"lone_self_loop", {0, 1}, {0}, CsrDefect::kSelfLoop},
       // 0->1 present, 1->0 missing (1 lists only itself? no: 1 lists 2)
       {"asymmetric", {0, 1, 2, 3}, {1, 2, 1}, CsrDefect::kAsymmetricEdge},
+      {"one_way_edge", {0, 1, 1}, {1}, CsrDefect::kAsymmetricEdge},
   };
   for (const auto& tc : cases) {
     const auto issue = validate_csr(tc.rows, tc.cols);
@@ -59,39 +60,15 @@ TEST(ValidateCsr, MalformedTable) {
 }
 
 TEST(ValidateCsr, UnsortedReportsRowAndPosition) {
-  // Row 1's adjacency list {2, 0} descends at flat position 2.
+  // Row 1's adjacency list {2, 0} descends at flat position 2; the row
+  // sweep names it before any symmetry check runs.
   const std::vector<eid_t> rows{0, 1, 3, 4};
   const std::vector<vid_t> cols{1, 2, 0, 1};
-  const auto issue = validate_csr(rows, cols, {.require_symmetric = false});
+  const auto issue = validate_csr(rows, cols);
   ASSERT_TRUE(issue.has_value());
   EXPECT_EQ(issue->defect, CsrDefect::kUnsortedNeighbors);
   EXPECT_EQ(issue->row, 1u);
   EXPECT_EQ(issue->index, 2u);
-}
-
-TEST(ValidateCsr, OptionsRelaxChecks) {
-  // A directed (asymmetric) edge passes when symmetry is not required.
-  const std::vector<eid_t> rows{0, 1, 1};
-  const std::vector<vid_t> cols{1};
-  EXPECT_TRUE(validate_csr(rows, cols).has_value());
-  EXPECT_FALSE(
-      validate_csr(rows, cols, {.require_symmetric = false}).has_value());
-
-  // Self loop allowed when asked for (and must then satisfy symmetry
-  // trivially: u->u is its own mate).
-  const std::vector<eid_t> loop_rows{0, 1};
-  const std::vector<vid_t> loop_cols{0};
-  EXPECT_TRUE(validate_csr(loop_rows, loop_cols).has_value());
-  EXPECT_FALSE(
-      validate_csr(loop_rows, loop_cols, {.allow_self_loops = true})
-          .has_value());
-
-  // Duplicates allowed when uniqueness is off (still sorted).
-  const std::vector<eid_t> dup_rows{0, 2, 4};
-  const std::vector<vid_t> dup_cols{1, 1, 0, 0};
-  EXPECT_TRUE(validate_csr(dup_rows, dup_cols).has_value());
-  EXPECT_FALSE(
-      validate_csr(dup_rows, dup_cols, {.require_unique = false}).has_value());
 }
 
 TEST(ValidateCsr, AcceptsWellFormedGraphs) {
@@ -109,12 +86,11 @@ TEST(ValidateCsr, EmptyGraphSingleOffsetIsValid) {
 // ---- Oracle: the linear sweep against the reverse-row search ----------
 
 /// The validator as it was before the linear sweep: the same
-/// structural sweep, then one binary search (or linear find) per arc in
-/// the reverse row. Every CsrIssue the production validator returns must
-/// equal this one field for field.
+/// structural sweep, then one binary search per arc in the reverse row.
+/// Every CsrIssue the production validator returns must equal this one
+/// field for field.
 std::optional<CsrIssue> reference_validate(std::span<const eid_t> rows,
-                                           std::span<const vid_t> cols,
-                                           const CsrCheckOptions& opts) {
+                                           std::span<const vid_t> cols) {
   if (rows.empty()) return CsrIssue{CsrDefect::kEmptyOffsets, 0, 0, 0};
   if (rows.front() != 0) {
     return CsrIssue{CsrDefect::kBadFirstOffset, 0, rows.front(), 0};
@@ -134,31 +110,24 @@ std::optional<CsrIssue> reference_validate(std::span<const eid_t> rows,
       const vid_t v = cols[k];
       const std::size_t at = narrow<std::size_t>(k);
       if (v >= n) return CsrIssue{CsrDefect::kColumnOutOfRange, u, v, at};
-      if (v == u && !opts.allow_self_loops) {
-        return CsrIssue{CsrDefect::kSelfLoop, u, v, at};
-      }
+      if (v == u) return CsrIssue{CsrDefect::kSelfLoop, u, v, at};
       if (k > rows[u]) {
         const vid_t prev = cols[k - 1];
-        if (opts.require_unique && v == prev) {
+        if (v == prev) {
           return CsrIssue{CsrDefect::kDuplicateNeighbor, u, v, at};
         }
-        if (opts.require_sorted && v < prev) {
+        if (v < prev) {
           return CsrIssue{CsrDefect::kUnsortedNeighbors, u, v, at};
         }
       }
     }
   }
-  if (!opts.require_symmetric) return std::nullopt;
   for (vid_t u = 0; u < n; ++u) {
     for (eid_t k = rows[u]; k < rows[u + 1]; ++k) {
       const vid_t v = cols[k];
-      if (v == u) continue;
       const vid_t* first = cols.data() + rows[v];
       const vid_t* last = cols.data() + rows[v + 1];
-      const bool found = opts.require_sorted
-                             ? std::binary_search(first, last, u)
-                             : std::find(first, last, u) != last;
-      if (!found) {
+      if (!std::binary_search(first, last, u)) {
         return CsrIssue{CsrDefect::kAsymmetricEdge, u, v,
                         narrow<std::size_t>(k)};
       }
@@ -299,26 +268,10 @@ void corrupt(RawCsr& g, Corruption kind, Xoshiro256ss& rng) {
   }
 }
 
-const CsrCheckOptions kOptionSets[] = {
-    {},
-    {.require_sorted = false},
-    {.require_unique = false},
-    {.require_symmetric = false},
-    {.allow_self_loops = true},
-};
-
-void expect_matches_reference(const RawCsr& g, const std::string& what,
-                              std::span<const CsrCheckOptions> option_sets =
-                                  kOptionSets) {
-  for (const CsrCheckOptions& opts : option_sets) {
-    const auto got = validate_csr(g.rows, g.cols, opts);
-    const auto want = reference_validate(g.rows, g.cols, opts);
-    EXPECT_EQ(describe(got), describe(want))
-        << what << " sorted=" << opts.require_sorted
-        << " unique=" << opts.require_unique
-        << " symmetric=" << opts.require_symmetric
-        << " self_loops=" << opts.allow_self_loops;
-  }
+void expect_matches_reference(const RawCsr& g, const std::string& what) {
+  EXPECT_EQ(describe(validate_csr(g.rows, g.cols)),
+            describe(reference_validate(g.rows, g.cols)))
+      << what;
 }
 
 TEST(ValidateCsrOracle, EveryCorruptionMatchesTheReverseRowSearch) {
@@ -353,14 +306,7 @@ TEST(ValidateCsrOracle, SuiteGraphsMatchUnderEveryCorruption) {
 TEST(ValidateCsrOracle, HubRowWiderThan16Bits) {
   // A hub row of 70000 arcs. With the hub first they are all upper arcs;
   // with the hub last they are all lower arcs, so its claimed-entry count
-  // passes 2^16. Every option set but require_sorted = false, whose
-  // linear find over the hub row costs ~2.5e9 compares here.
-  const CsrCheckOptions sorted_sets[] = {
-      {},
-      {.require_unique = false},
-      {.require_symmetric = false},
-      {.allow_self_loops = true},
-  };
+  // passes 2^16.
   constexpr vid_t kLeaves = 70000;
   std::vector<eid_t> rows;
   std::vector<vid_t> cols;
@@ -380,7 +326,7 @@ TEST(ValidateCsrOracle, HubRowWiderThan16Bits) {
     ASSERT_EQ(star.degree(hub), kLeaves) << what;
     const RawCsr ok(star);
     EXPECT_FALSE(validate_csr(ok.rows, ok.cols).has_value()) << what;
-    expect_matches_reference(ok, what, sorted_sets);
+    expect_matches_reference(ok, what);
 
     // Drop the hub's arc to its last leaf: that leaf's arc to the hub is
     // the first arc without a reverse.
@@ -392,24 +338,13 @@ TEST(ValidateCsrOracle, HubRowWiderThan16Bits) {
     EXPECT_EQ(issue->defect, CsrDefect::kAsymmetricEdge) << what;
     EXPECT_EQ(issue->row, leaf) << what;
     EXPECT_EQ(issue->value, hub) << what;
-    expect_matches_reference(last, what + " minus its last arc", sorted_sets);
+    expect_matches_reference(last, what + " minus its last arc");
 
     // Drop a leaf's only arc: the hub's arc to it is now one-way.
     RawCsr one_way(star);
     one_way.erase(66000, one_way.begin(66000));
-    expect_matches_reference(one_way, what + " minus one leaf arc",
-                             sorted_sets);
+    expect_matches_reference(one_way, what + " minus one leaf arc");
   }
-}
-
-TEST(ValidateCsrOracle, AllowedSelfLoopIsItsOwnMate) {
-  RawCsr g(make_cycle(6));
-  g.insert_sorted(3, 3);
-  EXPECT_EQ(describe(validate_csr(g.rows, g.cols)),
-            "self_loop row=3 value=3 index=7");
-  EXPECT_FALSE(
-      validate_csr(g.rows, g.cols, {.allow_self_loops = true}).has_value());
-  expect_matches_reference(g, "cycle with one self loop");
 }
 
 }  // namespace

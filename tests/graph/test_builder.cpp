@@ -22,24 +22,6 @@ TEST(GraphBuilder, RemovesSelfLoops) {
   EXPECT_EQ(g.num_edges(), 1u);
 }
 
-TEST(GraphBuilder, KeepsSelfLoopsWhenAsked) {
-  BuildOptions opts;
-  opts.remove_self_loops = false;
-  opts.symmetrize = false;
-  const Csr g = GraphBuilder::from_edges(2, {{0, 0}}, opts);
-  EXPECT_FALSE(g.has_no_self_loops());
-}
-
-TEST(GraphBuilder, DirectedWhenSymmetrizeOff) {
-  BuildOptions opts;
-  opts.symmetrize = false;
-  const Csr g = GraphBuilder::from_edges(3, {{0, 1}, {1, 2}}, opts);
-  EXPECT_EQ(g.num_arcs(), 2u);
-  EXPECT_FALSE(g.is_symmetric());
-  EXPECT_EQ(g.degree(0), 1u);
-  EXPECT_EQ(g.degree(2), 0u);
-}
-
 TEST(GraphBuilder, SortedNeighborsAlways) {
   const Csr g = GraphBuilder::from_edges(5, {{4, 0}, {4, 2}, {4, 1}, {4, 3}});
   const auto nb = g.neighbors(4);

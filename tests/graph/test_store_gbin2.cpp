@@ -95,19 +95,6 @@ TEST(StoreGbin2, WriteMapValidateRoundTrips) {
   EXPECT_EQ(mg->header().num_arcs, g.num_arcs());
 }
 
-TEST(StoreGbin2, HeapModeMatchesMappedMode) {
-  const Csr g = suite_graph();
-  const ScopedFile f(temp_path("store_heap.gbin"));
-  store::write_gbin_v2(f.path(), g);
-
-  store::OpenOptions heap;
-  heap.storage = store::OpenOptions::Storage::kHeap;
-  const auto hg = store::MappedGraph::open(f.path(), heap);
-  EXPECT_FALSE(hg->is_mapped());
-  EXPECT_FALSE(hg->graph().is_view());
-  EXPECT_TRUE(same_graph(g, hg->graph()));
-}
-
 TEST(StoreGbin2, LoadGraphReadsV2Heap) {
   // save_graph's .gbin dispatch writes v2; the plain heap loader must
   // read it back so non-store consumers keep working.

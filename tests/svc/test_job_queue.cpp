@@ -87,7 +87,7 @@ TEST(JobQueue, CloseDrainsBacklogFirst) {
   JobQueue q(8);
   q.try_push(make_job(1, "a"));
   q.close();
-  EXPECT_EQ(q.pop_batch(8).size(), 1u) << "backlog still served after close";
+  EXPECT_EQ(q.pop_batch(8).size(), 1u) << "queued job still served after close";
   EXPECT_TRUE(q.pop_batch(8).empty());
 }
 

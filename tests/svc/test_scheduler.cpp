@@ -85,7 +85,7 @@ TEST(Scheduler, OrderKnobReachesTheParBackend) {
 
 TEST(Scheduler, ProtocolValidatesOrderKnob) {
   Scheduler sched(small_opts());
-  // Unknown order names are rejected at parse time.
+  // Unknown order names are refused at submit, and counted.
   const Json bad = handle_request_line(
       sched, std::string("{\"op\":\"submit\",\"graph\":\"") + kTiny +
                  "\",\"order\":\"bogus\"}");
@@ -97,6 +97,7 @@ TEST(Scheduler, ProtocolValidatesOrderKnob) {
                  "\",\"order\":\"degree-desc\",\"wait\":true}");
   EXPECT_TRUE(good.get_bool("ok", false)) << good.dump();
   EXPECT_EQ(good.get_string("status", ""), "done");
+  EXPECT_EQ(sched.stats().rejected, 1u);
 }
 
 TEST(Scheduler, JobSpecJsonRoundTrip) {
@@ -184,7 +185,22 @@ TEST(Scheduler, RejectsBadSpecsUpFront) {
     EXPECT_FALSE(sub.accepted);
     EXPECT_EQ(sub.error, "bad_request");
   }
-  EXPECT_EQ(sched.stats().rejected, 3u);
+  {
+    JobSpec spec = par_job(kTiny);
+    spec.order = "bogus";
+    const auto sub = sched.submit(std::move(spec));
+    EXPECT_FALSE(sub.accepted);
+    EXPECT_EQ(sub.error, "bad_request");
+  }
+  {
+    JobSpec spec = par_job(kTiny);
+    spec.deadline_ms = -1.0;
+    const auto sub = sched.submit(std::move(spec));
+    EXPECT_FALSE(sub.accepted);
+    EXPECT_EQ(sub.error, "bad_request");
+  }
+  EXPECT_EQ(sched.stats().rejected, 5u);
+  EXPECT_EQ(sched.stats().submitted, 0u);
 }
 
 TEST(Scheduler, BadGraphFailsTheJobNotTheService) {

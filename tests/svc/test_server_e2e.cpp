@@ -337,6 +337,27 @@ TEST(ServerE2E, ShardBackendIsABadRequestAndTheServerKeepsAnswering) {
   server.stop();
 }
 
+TEST(ServerE2E, BadOrderIsRefusedAtSubmitAndCounted) {
+  Server server(small_server(unique_socket_path("order")));
+  Client client(server.socket_path());
+
+  JobSpec spec;
+  spec.graph = kGraphs[0];
+  spec.order = "bogus";
+  Json reply = client.submit(spec, /*wait=*/true);
+  EXPECT_FALSE(reply.get_bool("ok", true)) << reply.dump();
+  EXPECT_EQ(reply.get_string("error", ""), kErrBadRequest);
+
+  spec.order = "degree-desc";
+  reply = client.submit(spec, /*wait=*/true);
+  EXPECT_EQ(reply.get_string("status", ""), "done") << reply.dump();
+
+  const Json stats = client.stats();
+  EXPECT_EQ(stats.get_int("submitted", 0), 1);
+  EXPECT_EQ(stats.get_int("rejected", 0), 1);
+  server.stop();
+}
+
 TEST(ServerE2E, MalformedLineYieldsProtocolError) {
   Server server(small_server(unique_socket_path("proto")));
 
@@ -445,7 +466,6 @@ TEST(ServerE2E, ClientConnectRetryRidesOutLateServerStart) {
 
   ClientOptions copts;
   copts.connect_timeout_ms = 5000.0;
-  copts.backoff_initial_ms = 5.0;
   Client client(path, copts);  // no socket yet: must retry, not throw
   EXPECT_TRUE(client.ping());
   EXPECT_TRUE(client.shutdown_server());
@@ -455,14 +475,14 @@ TEST(ServerE2E, ClientConnectRetryRidesOutLateServerStart) {
 TEST(ServerE2E, ClientConnectTimeoutEventuallyThrows) {
   ClientOptions copts;
   copts.connect_timeout_ms = 150.0;
-  copts.backoff_initial_ms = 10.0;
   EXPECT_THROW(Client(unique_socket_path("never"), copts),
                std::runtime_error);
 }
 
 TEST(ServerE2E, RequestTimeoutAgainstSlowHandler) {
   // A peer that listens but never answers: the kernel completes the
-  // connect from the backlog, and the request must time out, not hang.
+  // connect from its listen queue, and the request must time out, not
+  // hang.
   const std::string path = unique_socket_path("slow");
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
