@@ -83,8 +83,8 @@ int run_par(const gcg::Cli& cli, const gcg::Csr& g) {
   par::ParOptions opts;
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   opts.threads = static_cast<unsigned>(cli.get_int("threads", 0));
-  // The runner owns the reorder pipeline (color relabeled, unmap back),
-  // so run.colors below are already in this graph's vertex ids.
+  // The runner colors this graph in the order's visit sequence, in
+  // place, so run.colors below are already in this graph's vertex ids.
   opts.order = order_from_name(cli.get("order", "natural"));
 
   const par::ParRun run = par::run_par_coloring(g, algo, opts);
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
     }
     const std::string backend = cli.get("backend", "sim");
     // par threads the order through ParOptions in run_par: the runner
-    // colors the relabeled graph and unmaps, so g stays as loaded here.
+    // walks the visit order over g itself, so g stays as loaded here.
     const Order order = order_from_name(cli.get("order", "natural"));
     if (order != Order::kNatural && backend != "par") g = reorder(g, order);
 

@@ -60,7 +60,7 @@ void StressSchedule::perturb(unsigned worker) {
     // order: relaxed — statistics counter, read when quiescent.
     lane.perturbed.fetch_add(1, std::memory_order_relaxed);
     const std::uint32_t spins =
-        1 + narrow<std::uint32_t>(hash(~k) % opts_.max_spin);
+        1 + narrow<std::uint32_t>(hash(~k) % kMaxSpin);
     for (std::uint32_t i = 0; i < spins; ++i) {
       // order: seq_cst signal fence — compiler-only barrier that keeps the
       // empty delay loop alive; no inter-thread ordering is implied.

@@ -20,14 +20,16 @@
 
 namespace gcg::check {
 
+/// Spin length of a perturbation is uniform in [1, kMaxSpin] pause
+/// iterations.
+inline constexpr std::uint32_t kMaxSpin = 512;
+
 struct StressOptions {
   std::uint64_t seed = 1;
   /// Probability that a chunk boundary yields the thread.
   double yield_probability = 0.2;
   /// Probability that a chunk boundary spins (busy-waits) instead.
   double spin_probability = 0.2;
-  /// Spin length is uniform in [1, max_spin] pause iterations.
-  std::uint32_t max_spin = 512;
 };
 
 class StressSchedule {

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/expect.hpp"
 #include "util/rng.hpp"
 
 namespace gcg {
@@ -27,25 +28,28 @@ PriorityMode priority_mode_from_name(const std::string& name) {
 }
 
 std::vector<std::uint32_t> make_priorities(const Csr& g, PriorityMode mode,
-                                           std::uint64_t seed) {
+                                           std::uint64_t seed,
+                                           std::span<const vid_t> rank) {
   const vid_t n = g.num_vertices();
+  GCG_EXPECT(rank.empty() || rank.size() == n);
+  const auto id = [&](vid_t v) { return rank.empty() ? v : rank[v]; };
   std::vector<std::uint32_t> prio(n);
   const CounterHash hash(seed);
   switch (mode) {
     case PriorityMode::kRandom:
-      for (vid_t v = 0; v < n; ++v) prio[v] = hash.u32(v);
+      for (vid_t v = 0; v < n; ++v) prio[v] = hash.u32(id(v));
       break;
     case PriorityMode::kDegreeBiased:
       // Degree in the top bits, hash noise below: hubs become local maxima
       // early, mimicking largest-degree-first.
       for (vid_t v = 0; v < n; ++v) {
         const std::uint32_t d = std::min<vid_t>(g.degree(v), 0xFFFu);
-        prio[v] = (d << 20) | (hash.u32(v) & 0xFFFFFu);
+        prio[v] = (d << 20) | (hash.u32(id(v)) & 0xFFFFFu);
       }
       break;
     case PriorityMode::kNaturalOrder:
       for (vid_t v = 0; v < n; ++v) {
-        prio[v] = std::numeric_limits<std::uint32_t>::max() - v;
+        prio[v] = std::numeric_limits<std::uint32_t>::max() - id(v);
       }
       break;
   }

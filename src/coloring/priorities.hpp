@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,8 +27,13 @@ const char* priority_mode_name(PriorityMode m);
 /// Inverse of priority_mode_name; throws std::invalid_argument on unknown.
 PriorityMode priority_mode_from_name(const std::string& name);
 
+/// Per-vertex priorities. `rank`, when given, is each vertex's position in
+/// a visit order (graph/reorder.hpp's perm): every mode then reads rank[v]
+/// where it would read v, so the result equals make_priorities over the
+/// relabeled graph, indexed through rank. Empty = the identity.
 std::vector<std::uint32_t> make_priorities(const Csr& g, PriorityMode mode,
-                                           std::uint64_t seed);
+                                           std::uint64_t seed,
+                                           std::span<const vid_t> rank = {});
 
 /// Strict total order used everywhere ties must break deterministically:
 /// (priority, vertex id) lexicographic.

@@ -94,13 +94,21 @@ std::vector<vid_t> make_order(const Csr& g, Order o, std::uint64_t seed) {
     }
     case Order::kDegreeDescending:
     case Order::kDegreeAscending: {
-      std::vector<vid_t> visit(n);
-      std::iota(visit.begin(), visit.end(), vid_t{0});
+      // Stable counting sort by degree, O(n + max_degree): start[d] is the
+      // first position of degree-d vertices, which then take consecutive
+      // positions in ascending id, as a stable sort would place them.
+      std::vector<vid_t> start(std::size_t{g.max_degree()} + 1, 0);
+      for (vid_t v = 0; v < n; ++v) ++start[g.degree(v)];
       const bool desc = (o == Order::kDegreeDescending);
-      std::stable_sort(visit.begin(), visit.end(), [&](vid_t a, vid_t b) {
-        return desc ? g.degree(a) > g.degree(b) : g.degree(a) < g.degree(b);
-      });
-      return visit_to_perm(visit);
+      vid_t next = 0;
+      for (std::size_t i = 0; i < start.size(); ++i) {
+        vid_t& slot = start[desc ? start.size() - 1 - i : i];
+        const vid_t count = slot;
+        slot = next;
+        next += count;
+      }
+      for (vid_t v = 0; v < n; ++v) perm[v] = start[g.degree(v)]++;
+      return perm;
     }
     case Order::kBfs:
       return visit_to_perm(bfs_visit_order(g, /*sort_by_degree=*/false));

@@ -1172,7 +1172,7 @@ Result check(Model& model, const Options& opts) {
       break;
     }
     if (!exec.advance()) break;  // search space exhausted
-    if (res.executions >= opts.max_executions) {
+    if (res.executions >= kMaxExecutions) {
       res.complete = false;
       break;
     }

@@ -18,13 +18,15 @@
 
 namespace gcg::mc {
 
+/// Hard cap on explored executions per check(); `Result::complete` is
+/// false if hit.
+inline constexpr long kMaxExecutions = 1000000;
+
 struct Options {
   /// Max context switches away from a runnable thread per execution
   /// (CHESS-style). Forced switches (current thread blocked or finished)
   /// are free. Most ordering bugs need 1–2 preemptions.
   int preemption_bound = 3;
-  /// Hard cap on explored executions; `Result::complete` is false if hit.
-  long max_executions = 1000000;
   /// Per-execution step cap; exceeding it fails the execution (livelock).
   int max_steps = 10000;
   /// Sleep-set pruning (prunes schedules that only commute independent

@@ -88,10 +88,6 @@ void run_jpl(DriverState& st) {
   const vid_t n = g.num_vertices();
   if (n == 0 || cancel_requested(st)) return;
   const unsigned workers = st.pool.size();
-  // u outranks v: u is colored before v.
-  const auto outranks = [&](vid_t u, vid_t v) {
-    return priority_less(st.prio[v], v, st.prio[u], u);
-  };
 
   // wait[v] counts v's uncolored higher-priority neighbours: the count
   // pass sets it and their decrements bring it to zero. Then the counter
@@ -111,7 +107,10 @@ void run_jpl(DriverState& st) {
     const vid_t end = slice_begin(g, w + 1, workers);
     for (vid_t v = slice_begin(g, w, workers); v < end; ++v) {
       std::uint32_t higher = 0;
-      for (vid_t u : g.neighbors(v)) higher += outranks(u, v) ? 1u : 0u;
+      // A neighbour u with v below it in priority is colored before v.
+      for (vid_t u : g.neighbors(v)) {
+        higher += st.priority_below(v, u) ? 1u : 0u;
+      }
       wait[v] = higher;
       if (higher == 0) ready.push_own(w, v);
     }

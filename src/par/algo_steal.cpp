@@ -83,7 +83,7 @@ void run_steal(DriverState& st) {
           bool is_max = true, is_min = true;
           for (vid_t u : st.g.neighbors(v)) {
             if (load_color(st.colors[u]) != kUncolored) continue;
-            if (priority_less(st.prio[v], v, st.prio[u], u)) {
+            if (st.priority_below(v, u)) {
               is_max = false;
             } else {
               is_min = false;

@@ -26,22 +26,47 @@ inline constexpr std::uint32_t kGrain = 512;
 /// priority chain; every algorithm finishes far below it.
 inline constexpr unsigned kMaxRounds = 1u << 20;
 
+/// The sequence a job takes the caller's vertices in: visit[k] is the
+/// vertex taken k-th and rank[v] is v's position, so rank[visit[k]] == k
+/// (rank is graph/reorder.hpp's perm). Coloring `g` in this sequence, with
+/// priorities and ties taken from rank, gives exactly the coloring of the
+/// relabeled graph apply_order(g, rank), with no copy of the graph. Both
+/// arrays are empty for the natural order, the identity.
+struct VisitOrder {
+  std::vector<vid_t> visit;
+  std::vector<vid_t> rank;
+
+  vid_t vertex_at(vid_t k) const { return visit.empty() ? k : visit[k]; }
+  vid_t rank_of(vid_t v) const { return rank.empty() ? v : rank[v]; }
+};
+
 struct DriverState {
   DriverState(ThreadPool& p, const Csr& graph, const ParOptions& options,
-              ParAlgorithm algorithm)
+              ParAlgorithm algorithm, const VisitOrder& visit_order)
       : g(graph),
         opts(options),
         pool(p),
-        prio(make_priorities(graph, options.priority, options.seed)),
+        order(visit_order),
+        prio(make_priorities(graph, options.priority, options.seed,
+                             visit_order.rank)),
         colors(graph.num_vertices(), kUncolored) {
     run.algorithm = algorithm;
     run.threads = pool.size();
     run.workers.resize(pool.size());
   }
 
+  /// Strict total order on vertices: priority, then rank. The rank is
+  /// read only on a priority tie, so the hot loops load nothing extra per
+  /// arc.
+  bool priority_below(vid_t a, vid_t b) const {
+    if (prio[a] != prio[b]) return prio[a] < prio[b];
+    return order.rank_of(a) < order.rank_of(b);
+  }
+
   const Csr& g;
   const ParOptions& opts;
   ThreadPool& pool;
+  const VisitOrder& order;
   std::vector<std::uint32_t> prio;
   std::vector<color_t> colors;
   ParRun run;

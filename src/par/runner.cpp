@@ -28,12 +28,23 @@ std::vector<ParAlgorithm> all_par_algorithms() {
   return {ParAlgorithm::kSpeculative, ParAlgorithm::kJpl, ParAlgorithm::kSteal};
 }
 
-namespace {
+ParRun run_par_coloring(ThreadPool& pool, const Csr& g, ParAlgorithm algorithm,
+                        const ParOptions& opts) {
+  // An ordered run colors `g` itself, taking its vertices in visit order
+  // with priorities drawn from each vertex's rank (driver.hpp's
+  // VisitOrder), so colors[v] is already the caller's vertex v's color.
+  detail::VisitOrder order;
+  double reorder_ms = 0.0;
+  if (opts.order != Order::kNatural) {
+    const auto r0 = std::chrono::steady_clock::now();
+    order.rank = make_order(g, opts.order, opts.seed);
+    order.visit.resize(order.rank.size());
+    for (vid_t v = 0; v < g.num_vertices(); ++v) order.visit[order.rank[v]] = v;
+    const auto r1 = std::chrono::steady_clock::now();
+    reorder_ms = std::chrono::duration<double, std::milli>(r1 - r0).count();
+  }
 
-/// The core run on the graph exactly as given (no reordering).
-ParRun run_here(ThreadPool& pool, const Csr& g, ParAlgorithm algorithm,
-                const ParOptions& opts) {
-  detail::DriverState st(pool, g, opts, algorithm);
+  detail::DriverState st(pool, g, opts, algorithm, order);
   const auto t0 = std::chrono::steady_clock::now();
   switch (algorithm) {
     case ParAlgorithm::kSpeculative:
@@ -48,6 +59,8 @@ ParRun run_here(ThreadPool& pool, const Csr& g, ParAlgorithm algorithm,
   }
   const auto t1 = std::chrono::steady_clock::now();
   st.run.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  st.run.order = opts.order;
+  st.run.reorder_ms = reorder_ms;
   st.run.colors = std::move(st.colors);
   st.run.num_colors = count_colors(st.run.colors);
 
@@ -56,38 +69,6 @@ ParRun run_here(ThreadPool& pool, const Csr& g, ParAlgorithm algorithm,
   for (const ParWorkerStats& w : st.run.workers) busy.push_back(w.busy_ms);
   st.run.imbalance = summarize_worker_times(busy);
   return std::move(st.run);
-}
-
-}  // namespace
-
-ParRun run_par_coloring(ThreadPool& pool, const Csr& g, ParAlgorithm algorithm,
-                        const ParOptions& opts) {
-  if (opts.order == Order::kNatural) return run_here(pool, g, algorithm, opts);
-
-  // Reorder pipeline: permute, color the relabeled graph, unmap. The
-  // permutation satisfies perm[old] = new, so the color of the caller's
-  // vertex v is the relabeled run's color of perm[v]. Unmapping changes
-  // neither validity (relabeling preserves adjacency) nor the palette, so
-  // num_colors carries over.
-  const auto r0 = std::chrono::steady_clock::now();
-  const std::vector<vid_t> perm = make_order(g, opts.order, opts.seed);
-  const Csr relabeled = apply_order(g, perm);
-  const auto r1 = std::chrono::steady_clock::now();
-
-  ParRun run = run_here(pool, relabeled, algorithm, opts);
-
-  const auto r2 = std::chrono::steady_clock::now();
-  std::vector<color_t> unmapped(run.colors.size());
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    unmapped[v] = run.colors[perm[v]];
-  }
-  const auto r3 = std::chrono::steady_clock::now();
-  run.colors = std::move(unmapped);
-  run.order = opts.order;
-  run.reorder_ms =
-      std::chrono::duration<double, std::milli>(r1 - r0).count() +
-      std::chrono::duration<double, std::milli>(r3 - r2).count();
-  return run;
 }
 
 ParRun run_par_coloring(const Csr& g, ParAlgorithm algorithm,

@@ -41,16 +41,18 @@ struct ParOptions {
   PriorityMode priority = PriorityMode::kRandom;
   std::uint64_t seed = 1;
 
-  /// Preprocessing vertex reordering (graph/reorder.hpp): the run colors
-  /// a relabeled copy of the graph and transparently unmaps the colors
-  /// back to the caller's vertex ids, so ParRun::colors[v] always refers
-  /// to the input graph's v. Degree-sorted and bandwidth-reducing orders
-  /// tighten the frontier's memory locality and group similar degrees
-  /// into the same chunks (the paper's layout lever); the permutation
-  /// cost is reported separately in ParRun::reorder_ms so the tradeoff
-  /// stays visible. kRandom uses `seed`. Note the *coloring* generally
-  /// changes with the order (greedy first-fit is order-dependent) but
-  /// stays deterministic for a fixed (order, seed, algorithm).
+  /// Vertex visit order (graph/reorder.hpp). The run colors the caller's
+  /// graph itself, with no relabeled copy: speculative takes vertices in
+  /// this sequence, cut into edge-balanced chunks as on the relabeled
+  /// graph, and every algorithm draws priorities and ties from each
+  /// vertex's position in it. The coloring is exactly the one the
+  /// relabeled graph would get, and ParRun::colors[v] always refers to
+  /// the input graph's v. Degree-sorted orders group similar degrees into
+  /// the same chunks (the paper's layout lever); building the sequence is
+  /// reported separately in ParRun::reorder_ms. kRandom uses `seed`. The
+  /// *coloring* generally changes with the order (greedy first-fit is
+  /// order-dependent) but stays deterministic for a fixed (order, seed,
+  /// algorithm).
   Order order = Order::kNatural;
 
   /// Cooperative cancellation, polled by worker 0 only: between iterations
@@ -90,8 +92,8 @@ struct ParRun {
   bool cancelled = false;
   double wall_ms = 0.0;          ///< steady_clock time for the coloring
                                  ///< itself (excludes reorder_ms)
-  /// Preprocessing order applied (kNatural = none) and what the
-  /// permutation + relabeling + unmap cost on top of wall_ms.
+  /// Visit order applied (kNatural = none) and what building it (the
+  /// permutation and its inverse) cost on top of wall_ms; 0 for kNatural.
   Order order = Order::kNatural;
   double reorder_ms = 0.0;
   /// Always 0: no algorithm has a cooperative hub pass. Kept because the

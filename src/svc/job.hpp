@@ -23,9 +23,9 @@ struct JobSpec {
   std::string algorithm = "steal";  ///< par algorithm name
   std::string priority = "random";  ///< PriorityMode name
   std::uint64_t seed = 1;
-  /// Preprocessing vertex order ("degree-desc", "rcm", ...;
-  /// graph/reorder.hpp names); "" = natural. Colors come back in the
-  /// graph's original vertex ids regardless.
+  /// Vertex visit order ("degree-desc", "rcm", ...; graph/reorder.hpp
+  /// names); "" = natural. The graph is colored in place, so colors are
+  /// in its original vertex ids regardless.
   std::string order;
   double deadline_ms = 0.0;     ///< from submit; 0 = no deadline
   bool keep_colors = false;     ///< retain the full color array in the result
@@ -45,6 +45,8 @@ struct JobResult {
   int num_colors = 0;
   unsigned iterations = 0;
   double run_ms = 0.0;        ///< wall time inside the coloring run
+  double reorder_ms = 0.0;    ///< building the job's visit order (0 when
+                              ///< natural), outside run_ms
   double latency_ms = 0.0;    ///< submit -> terminal state
   double queue_ms = 0.0;      ///< submit -> dispatch
   unsigned threads = 0;       ///< threads the run actually used

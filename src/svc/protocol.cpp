@@ -57,6 +57,7 @@ Json result_to_json(const JobResult& r, bool include_colors) {
   out["num_colors"] = Json(r.num_colors);
   out["iterations"] = count_json(r.iterations);
   out["run_ms"] = Json(r.run_ms);
+  out["reorder_ms"] = Json(r.reorder_ms);
   out["latency_ms"] = Json(r.latency_ms);
   out["queue_ms"] = Json(r.queue_ms);
   out["threads"] = count_json(r.threads);

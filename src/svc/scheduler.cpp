@@ -268,8 +268,8 @@ void Scheduler::run_one(par::ThreadPool& pool, const JobPtr& job,
     popts.priority = priority_mode_from_name(job->spec.priority);
     popts.seed = job->spec.seed;
     if (!job->spec.order.empty()) {
-      // Validated at submit; the runner reorders, colors the relabeled
-      // graph, and unmaps back to the caller's vertex ids.
+      // Validated at submit; the runner colors the graph in this visit
+      // order, in place, so the colors stay in the caller's vertex ids.
       popts.order = order_from_name(job->spec.order);
     }
     JobRecord* rec = job.get();
@@ -284,6 +284,7 @@ void Scheduler::run_one(par::ThreadPool& pool, const JobPtr& job,
     result.num_colors = run.num_colors;
     result.iterations = run.iterations;
     result.run_ms = run.wall_ms;
+    result.reorder_ms = run.reorder_ms;
     result.threads = run.threads;
     std::vector<color_t> colors = std::move(run.colors);
 

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "graph/builder.hpp"
 #include "graph/gen/powerlaw.hpp"
+#include "graph/gen/random.hpp"
 #include "graph/gen/special.hpp"
 #include "graph/stats.hpp"
 
@@ -69,6 +72,41 @@ TEST(Reorder, DegreeAscendingSortsDegrees) {
   const Csr h = reorder(g, Order::kDegreeAscending);
   for (vid_t v = 1; v < h.num_vertices(); ++v) {
     ASSERT_LE(h.degree(v - 1), h.degree(v));
+  }
+}
+
+/// The degree orders' reference: a stable sort of the ids by degree,
+/// inverted to perm[old] = new.
+std::vector<vid_t> stable_sort_by_degree(const Csr& g, bool desc) {
+  std::vector<vid_t> visit(g.num_vertices());
+  std::iota(visit.begin(), visit.end(), vid_t{0});
+  std::stable_sort(visit.begin(), visit.end(), [&](vid_t a, vid_t b) {
+    return desc ? g.degree(a) > g.degree(b) : g.degree(a) < g.degree(b);
+  });
+  std::vector<vid_t> perm(visit.size());
+  for (vid_t k = 0; k < visit.size(); ++k) perm[visit[k]] = k;
+  return perm;
+}
+
+TEST(Reorder, DegreeOrdersEqualStableSort) {
+  // A sparse uniform graph has many isolated vertices and long runs of
+  // equal degree, so the tie order is what is under test; the power-law
+  // graph adds hubs, and n = 0 and n = 1 the edge cases.
+  const Csr sparse = make_erdos_renyi_gnm(600, 400, 9);
+  std::size_t isolated = 0;
+  for (vid_t v = 0; v < sparse.num_vertices(); ++v) {
+    isolated += sparse.degree(v) == 0 ? 1u : 0u;
+  }
+  ASSERT_GT(isolated, 50u);
+  const Csr graphs[] = {sparse, make_rmat(9, 4, {}, 3), make_empty(0),
+                        make_empty(1)};
+  for (const Csr& g : graphs) {
+    EXPECT_EQ(make_order(g, Order::kDegreeDescending),
+              stable_sort_by_degree(g, /*desc=*/true))
+        << "n = " << g.num_vertices();
+    EXPECT_EQ(make_order(g, Order::kDegreeAscending),
+              stable_sort_by_degree(g, /*desc=*/false))
+        << "n = " << g.num_vertices();
   }
 }
 

@@ -67,7 +67,9 @@ TEST(Scheduler, AllParAlgorithmsAndPriorities) {
 TEST(Scheduler, OrderKnobReachesTheParBackend) {
   Scheduler sched(small_opts());
   // Every order must complete, verify on the ORIGINAL vertex ids (the
-  // runner unmaps), and return a full-size assignment.
+  // runner colors the caller's graph in visit order), return a full-size
+  // assignment, and report what building the order cost: nothing for the
+  // natural order.
   for (const char* order : {"", "degree-desc", "rcm", "random"}) {
     JobSpec spec = par_job(kTinySkewed, "jpl");
     spec.order = order;
@@ -80,6 +82,11 @@ TEST(Scheduler, OrderKnobReachesTheParBackend) {
         << order << ": " << snap->result.error;
     EXPECT_TRUE(snap->result.verified) << order;
     EXPECT_FALSE(snap->result.colors.empty()) << order;
+    if (*order == '\0') {
+      EXPECT_EQ(snap->result.reorder_ms, 0.0);
+    } else {
+      EXPECT_GE(snap->result.reorder_ms, 0.0) << order;
+    }
   }
 }
 
@@ -97,6 +104,9 @@ TEST(Scheduler, ProtocolValidatesOrderKnob) {
                  "\",\"order\":\"degree-desc\",\"wait\":true}");
   EXPECT_TRUE(good.get_bool("ok", false)) << good.dump();
   EXPECT_EQ(good.get_string("status", ""), "done");
+  const Json* result = good.find("result");
+  ASSERT_NE(result, nullptr) << good.dump();
+  EXPECT_GE(result->get_double("reorder_ms", -1.0), 0.0) << good.dump();
   EXPECT_EQ(sched.stats().rejected, 1u);
 }
 
