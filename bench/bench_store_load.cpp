@@ -5,7 +5,6 @@
 //
 // Load paths compared, same graph each time:
 //   parse_mtx            text parse + build            O(file) CPU-bound
-//   v1_heap              legacy .gbin heap read        O(file) copy
 //   v2_heap              .gbin v2 heap read + verify   O(file) copy
 //   v2_mmap_first_open   mmap + header validate        O(1) in file size
 //   v2_mmap_second_open  same file again (page cache)  ~free
@@ -67,19 +66,13 @@ int main(int argc, char** argv) {
 
   const std::string dir = "bench_store_tmp";
   const std::string mtx = dir + "/" + name + ".mtx";
-  const std::string v1 = dir + "/" + name + ".v1.gbin";
   const std::string v2 = dir + "/" + name + ".gbin";
   std::filesystem::create_directories(dir);
   save_graph(mtx, g);
-  {
-    std::ofstream o(v1, std::ios::binary);
-    save_binary(o, g);
-  }
   store::write_gbin_v2(v2, g);
 
   const double parse_ms =
       best_time_ms(repeats, [&] { (void)load_graph(mtx); });
-  const double v1_ms = best_time_ms(repeats, [&] { (void)load_graph(v1); });
   const double v2_heap_ms =
       best_time_ms(repeats, [&] { (void)load_graph(v2); });
 
@@ -119,7 +112,6 @@ int main(int argc, char** argv) {
                           std::to_string(g.num_vertices()) + " vertices, " +
                           std::to_string(g.num_arcs()) + " arcs");
   load.add_row({"parse_mtx", parse_ms, file_bytes(mtx)});
-  load.add_row({"v1_heap", v1_ms, file_bytes(v1)});
   load.add_row({"v2_heap", v2_heap_ms, file_bytes(v2)});
   load.add_row({"v2_mmap_first_open", mmap_first_ms, file_bytes(v2)});
   load.add_row({"v2_mmap_second_open", mmap_second_ms, file_bytes(v2)});

@@ -8,12 +8,12 @@
 //                           [--dispatchers 2] [--threads-per-job 0]
 //                           [--queue 64]
 //                           [--cache-graphs 16] [--cache-mb 1024]
-//                           [--mapped-cache-gb 256] [--no-mmap]
+//                           [--mapped-cache-gb 256]
 //                           [--preload g1,g2,...]
 //
-// .gbin v2 graphs are served zero-copy off the page cache via the mmap
-// store (disable with --no-mmap). A flag the server does not read is a
-// usage error: it exits 2 and names the flag before binding the socket.
+// .gbin graphs are served zero-copy off the page cache via the mmap
+// store. A flag the server does not read is a usage error: it exits 2
+// and names the flag before binding the socket.
 //
 // --shard-workers is still read, but only 0 is accepted: the shard fleet
 // was removed, and the e2e benchmark harness still passes
@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("cache-mb", 1024)) << 20;
   opts.scheduler.registry.max_mapped_bytes =
       static_cast<std::size_t>(cli.get_int("mapped-cache-gb", 256)) << 30;
-  opts.scheduler.registry.mmap_store = !cli.get_bool("no-mmap");
 
   if (cli.get_int("shard-workers", 0) != 0) {
     std::cerr << "error: --shard-workers accepts only 0: the shard fleet "

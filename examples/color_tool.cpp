@@ -117,13 +117,13 @@ int run_par(const gcg::Cli& cli, const gcg::Csr& g) {
   return 0;
 }
 
-// Pack-on-first-load: convert the input to .gbin v2 next to it (reusing
-// an existing pack), then mmap. The returned Csr is a zero-copy view
-// whose keepalive pins the mapping, so it outlives the local handle.
+// Pack-on-first-load: convert a non-.gbin input to .gbin v2 next to it
+// (reusing an existing pack), then mmap. The returned Csr is a zero-copy
+// view whose keepalive pins the mapping, so it outlives the local handle.
 gcg::Csr open_via_store(const std::string& input) {
   using namespace gcg;
   std::string target = input;
-  if (!store::is_gbin_v2_file(input)) {
+  if (!input.ends_with(".gbin")) {
     const store::PackResult pr =
         store::pack(input, store::default_pack_target(input),
                     /*reuse_existing=*/true);
@@ -133,7 +133,7 @@ gcg::Csr open_via_store(const std::string& input) {
   }
   const auto mg = store::MappedGraph::open(target);
   std::cout << "store:       "
-            << (mg->is_mapped() ? "mapped (zero-copy view)" : "heap fallback")
+            << (mg->is_mapped() ? "mapped (zero-copy view)" : "stream read")
             << '\n';
   return mg->graph();  // view copy shares the mapping anchor
 }

@@ -1,12 +1,9 @@
-// .gbin readers/writers. Two generations share the extension and are
-// auto-detected by magic:
-//   v1 "gcgbin01": magic + length-prefixed raw arrays. Compact, but the
-//       arrays land at unaligned offsets, so it can only be heap-loaded.
-//   v2 "gcgbin02": fixed 128-byte header + page-aligned sections with
-//       per-section checksums (layout in store/format.hpp). Heap-loadable
-//       here; mmap'able zero-copy through store::MappedGraph.
-// save_binary writes v1 (legacy interchange); save_binary_v2 writes the
-// store format — save_graph's .gbin dispatch now emits v2.
+// .gbin reader and writer. One format, v2 "gcgbin02": a fixed 128-byte
+// header, then page-aligned sections with per-section checksums (layout
+// in store/format.hpp). save_binary writes it; load_binary reads it front
+// to back without seeking to a section, so it reads pipes as well as
+// files. store::MappedGraph maps the same bytes zero-copy and streams
+// them through load_binary when the kernel cannot map the input.
 #include <algorithm>
 #include <cstring>
 #include <istream>
@@ -14,6 +11,7 @@
 #include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/io/io.hpp"
@@ -23,24 +21,19 @@
 namespace gcg {
 
 namespace {
-constexpr char kMagicV1[8] = {'g', 'c', 'g', 'b', 'i', 'n', '0', '1'};
+
+/// Step in which load_binary grows a section buffer and skips padding
+/// when the stream's length is unknown.
+constexpr std::uint64_t kStepBytes = std::uint64_t{1} << 16;
 
 template <class T>
 void write_pod(std::ostream& out, const T& v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-template <class T>
-T read_pod(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw std::runtime_error("gbin: truncated stream");
-  return v;
-}
-
 /// Bytes left between the current position and the end of a seekable
-/// stream, or nullopt if the stream cannot seek (e.g. a pipe) — callers
-/// then fall back to discovering truncation at read time.
+/// stream, or nullopt if the stream cannot seek (e.g. a pipe) — the
+/// reader then learns of truncation only as the bytes fail to arrive.
 std::optional<std::uint64_t> remaining_bytes(std::istream& in) {
   const std::istream::pos_type pos = in.tellg();
   if (pos == std::istream::pos_type(-1)) return std::nullopt;
@@ -49,33 +42,6 @@ std::optional<std::uint64_t> remaining_bytes(std::istream& in) {
   in.seekg(pos);
   if (end == std::istream::pos_type(-1) || end < pos) return std::nullopt;
   return to_unsigned(std::streamoff(end - pos));
-}
-
-template <class T>
-void write_vec(std::ostream& out, std::span<const T> v) {
-  write_pod<std::uint64_t>(out, v.size());
-  out.write(reinterpret_cast<const char*>(v.data()),
-            narrow<std::streamsize>(v.size() * sizeof(T)));
-}
-
-template <class T>
-std::vector<T> read_vec(std::istream& in) {
-  const auto size = read_pod<std::uint64_t>(in);
-  // Validate the declared element count against what the stream can
-  // still deliver BEFORE allocating: a corrupt header must produce a
-  // clean "truncated stream" error, not a giant allocation / bad_alloc.
-  if (const auto left = remaining_bytes(in)) {
-    if (size > *left / sizeof(T)) {
-      throw std::runtime_error("gbin: truncated stream");
-    }
-  } else if (size > std::numeric_limits<std::uint64_t>::max() / sizeof(T)) {
-    throw std::runtime_error("gbin: truncated stream");
-  }
-  std::vector<T> v(size);
-  in.read(reinterpret_cast<char*>(v.data()),
-          narrow<std::streamsize>(size * sizeof(T)));
-  if (!in) throw std::runtime_error("gbin: truncated array");
-  return v;
 }
 
 void write_padding(std::ostream& out, std::uint64_t from, std::uint64_t to) {
@@ -87,49 +53,41 @@ void write_padding(std::ostream& out, std::uint64_t from, std::uint64_t to) {
   }
 }
 
-Csr load_binary_v1(std::istream& in) {
-  auto rows = read_vec<eid_t>(in);
-  auto cols = read_vec<vid_t>(in);
-  return Csr(std::move(rows), std::move(cols));
-}
-
-Csr load_binary_v2(std::istream& in, std::streamoff base) {
-  store::HeaderV2 h{};
-  in.read(reinterpret_cast<char*>(&h), sizeof h);
-  if (!in) throw std::runtime_error("gbin2: truncated header");
-  validate_gbin_v2_header(h);
-
-  // Geometry checked against the actual stream size before allocating,
-  // same contract as the hardened v1 path.
-  if (const auto left = remaining_bytes(in)) {
-    const std::uint64_t file_size = sizeof h + *left;
-    if (h.cols_offset + h.cols_bytes > file_size ||
-        h.rows_offset + h.rows_bytes > file_size) {
+/// Reads and drops the `bytes` bytes of padding before a section.
+void skip_padding(std::istream& in, std::uint64_t bytes) {
+  while (bytes > 0) {
+    const auto step = narrow<std::streamsize>(std::min(bytes, kStepBytes));
+    in.ignore(step);
+    if (in.gcount() != step) {
       throw std::runtime_error("gbin2: truncated stream");
     }
+    bytes -= to_unsigned(step);
   }
+}
 
-  std::vector<eid_t> rows(h.num_vertices + 1);
-  in.seekg(base + narrow<std::streamoff>(h.rows_offset));
-  in.read(reinterpret_cast<char*>(rows.data()),
-          narrow<std::streamsize>(h.rows_bytes));
-  if (!in) throw std::runtime_error("gbin2: truncated rows section");
-
-  std::vector<vid_t> cols(h.num_arcs);
-  in.seekg(base + narrow<std::streamoff>(h.cols_offset));
-  in.read(reinterpret_cast<char*>(cols.data()),
-          narrow<std::streamsize>(h.cols_bytes));
-  if (!in) throw std::runtime_error("gbin2: truncated cols section");
-
-  // A heap load touches every byte anyway, so the checksums are free to
-  // verify here (the lazy mmap path makes them opt-in instead).
-  if (store::fnv1a64(rows.data(), h.rows_bytes) != h.rows_checksum) {
-    throw std::runtime_error("gbin2: rows section checksum mismatch");
+/// Reads a section of `bytes` bytes. When `fits`, the stream is known to
+/// hold it and one allocation takes it; otherwise the buffer at most
+/// doubles per step, so a header that lies to a pipe costs about the
+/// bytes the pipe delivered, not the bytes the header claims.
+template <class T>
+std::vector<T> read_section(std::istream& in, std::uint64_t bytes, bool fits,
+                            const char* name) {
+  const auto n = narrow<std::size_t>(bytes / sizeof(T));
+  const std::size_t step = kStepBytes / sizeof(T);
+  std::vector<T> v;
+  std::size_t have = 0;
+  while (have < n) {
+    const std::size_t want = fits ? n : std::min(n, std::max(step, 2 * have));
+    v.resize(want);
+    in.read(reinterpret_cast<char*>(v.data() + have),
+            narrow<std::streamsize>((want - have) * sizeof(T)));
+    if (!in) {
+      throw std::runtime_error(std::string("gbin2: truncated ") + name +
+                               " section");
+    }
+    have = want;
   }
-  if (store::fnv1a64(cols.data(), h.cols_bytes) != h.cols_checksum) {
-    throw std::runtime_error("gbin2: cols section checksum mismatch");
-  }
-  return Csr(std::move(rows), std::move(cols));
+  return v;
 }
 
 }  // namespace
@@ -150,12 +108,16 @@ void validate_gbin_v2_header(const store::HeaderV2& h) {
   if (store::header_checksum(h) != h.header_checksum) {
     throw std::runtime_error("gbin2: header checksum mismatch");
   }
-  if (h.num_vertices + 1 > std::numeric_limits<vid_t>::max() ||
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  if (h.num_vertices >= std::numeric_limits<vid_t>::max() ||
+      h.num_arcs > kMax / sizeof(vid_t) ||
       h.rows_bytes != (h.num_vertices + 1) * sizeof(eid_t) ||
       h.cols_bytes != h.num_arcs * sizeof(vid_t)) {
     throw std::runtime_error("gbin2: header geometry inconsistent");
   }
-  if (h.rows_offset % alignof(eid_t) != 0 ||
+  if (h.rows_offset > kMax - h.rows_bytes ||
+      h.cols_offset > kMax - h.cols_bytes ||
+      h.rows_offset % alignof(eid_t) != 0 ||
       h.cols_offset % alignof(vid_t) != 0 ||
       h.rows_offset < sizeof(store::HeaderV2) ||
       h.cols_offset < h.rows_offset + h.rows_bytes) {
@@ -165,12 +127,6 @@ void validate_gbin_v2_header(const store::HeaderV2& h) {
 }
 
 void save_binary(std::ostream& out, const Csr& g) {
-  out.write(kMagicV1, sizeof(kMagicV1));
-  write_vec(out, g.row_offsets());
-  write_vec(out, g.col_indices());
-}
-
-void save_binary_v2(std::ostream& out, const Csr& g) {
   const auto rows = g.row_offsets();
   const auto cols = g.col_indices();
 
@@ -198,21 +154,41 @@ void save_binary_v2(std::ostream& out, const Csr& g) {
   if (!out) throw std::runtime_error("gbin2: write failed");
 }
 
-Csr load_binary(std::istream& in) {
-  const std::streamoff base = in.tellg();
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in) throw std::runtime_error("gbin: bad magic");
-  if (store::has_v2_magic(magic, sizeof magic)) {
-    // Rewind: the v2 header overlays the magic and its section offsets
-    // are relative to the header's own position in the stream.
-    in.seekg(base >= 0 ? base : std::streamoff{0});
-    return load_binary_v2(in, base >= 0 ? base : std::streamoff{0});
+Csr load_binary(std::istream& in, store::HeaderV2* header) {
+  store::HeaderV2 h{};
+  in.read(reinterpret_cast<char*>(&h), sizeof h);
+  if (!in) throw std::runtime_error("gbin2: truncated header");
+  validate_gbin_v2_header(h);
+
+  // A seekable stream's size is checked against the geometry before
+  // anything is allocated; section offsets are relative to the header.
+  bool fits = false;
+  if (const auto left = remaining_bytes(in)) {
+    const std::uint64_t size = sizeof h + *left;
+    if (h.cols_offset + h.cols_bytes > size ||
+        h.rows_offset + h.rows_bytes > size) {
+      throw std::runtime_error("gbin2: truncated stream");
+    }
+    fits = true;
   }
-  if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) != 0) {
-    throw std::runtime_error("gbin: bad magic");
+
+  skip_padding(in, h.rows_offset - sizeof h);
+  std::vector<eid_t> rows =
+      read_section<eid_t>(in, h.rows_bytes, fits, "rows");
+  skip_padding(in, h.cols_offset - (h.rows_offset + h.rows_bytes));
+  std::vector<vid_t> cols =
+      read_section<vid_t>(in, h.cols_bytes, fits, "cols");
+
+  // A heap load touches every byte anyway, so the checksums are free to
+  // verify here (the lazy mmap path makes them opt-in instead).
+  if (store::fnv1a64(rows.data(), h.rows_bytes) != h.rows_checksum) {
+    throw std::runtime_error("gbin2: rows section checksum mismatch");
   }
-  return load_binary_v1(in);
+  if (store::fnv1a64(cols.data(), h.cols_bytes) != h.cols_checksum) {
+    throw std::runtime_error("gbin2: cols section checksum mismatch");
+  }
+  if (header) *header = h;
+  return Csr(std::move(rows), std::move(cols));
 }
 
 }  // namespace gcg

@@ -65,9 +65,7 @@ void save_graph(const std::string& path, const Csr& g) {
   } else if (ext == "col" || ext == "dimacs") {
     save_dimacs_color(out, g);
   } else if (ext == "gbin") {
-    // v2 is the write default: what save_graph produces, the store can
-    // mmap. load_graph keeps reading v1 files by magic detection.
-    save_binary_v2(out, g);
+    save_binary(out, g);  // what save_graph produces, the store can mmap
   } else {
     save_edge_list(out, g);  // el / txt / edges
   }

@@ -13,9 +13,8 @@
 // catch torn writes and bit rot — verifying them is optional on open
 // because a full verify faults in every page, which defeats lazy paging.
 //
-// v1 (magic "gcgbin01": magic + raw length-prefixed arrays, unaligned)
-// stays readable through graph/io's load_binary; only the store's mmap
-// path requires v2.
+// v2 is the only .gbin format: graph/io's save_binary writes it and its
+// load_binary streams it; the store maps it.
 #pragma once
 
 #include <cstddef>

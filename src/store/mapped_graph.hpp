@@ -5,9 +5,12 @@
 // already in the page cache, and graphs far larger than RAM stay
 // servable: the kernel pages sections in and out on demand.
 //
-// When mmap itself fails (exotic filesystem, sandbox) the open falls
-// back to an ordinary heap read of the same file, so callers always get
-// a working graph; is_mapped() reports which path was taken.
+// Input the kernel cannot map — a FIFO or other non-regular file, or a
+// regular file whose mmap failed — is streamed through load_binary from
+// the same descriptor into an owning heap Csr, so callers always get a
+// working graph; is_mapped() reports which path was taken. The path is
+// opened exactly once either way (a second open of a drained FIFO would
+// block forever).
 //
 // Thread safety: like store::Mapping, a MappedGraph is immutable after
 // open() returns — the view, header, and backing bytes never change, so
@@ -37,32 +40,34 @@ struct OpenOptions {
 
 class MappedGraph {
  public:
-  /// Opens `path` (must be .gbin v2 — check with is_gbin_v2_file first
-  /// when dispatching). Throws std::runtime_error on missing/corrupt
-  /// files. A failed mmap never throws: it falls back to a heap read.
+  /// Opens the .gbin v2 file at `path`: maps it when it is a non-empty
+  /// regular file, streams it otherwise. Throws std::runtime_error on
+  /// missing, corrupt or truncated input. A failed mmap never throws:
+  /// it falls back to the stream read.
   static std::shared_ptr<const MappedGraph> open(const std::string& path,
                                                  const OpenOptions& opts = {});
 
   /// The graph. A view over the mapping when is_mapped(), an owning heap
-  /// Csr after fallback. Copying the returned reference's object (Csr
+  /// Csr after a stream read. Copying the returned reference's object (Csr
   /// copy) is safe in both modes — views share the mapping anchor.
   const Csr& graph() const { return graph_; }
 
   bool is_mapped() const { return mapping_ != nullptr; }
   /// On-disk size — what a cache should charge for a mapped entry
-  /// (its heap cost is ~sizeof(Csr)).
+  /// (its heap cost is ~sizeof(Csr)). The bytes read after a stream read.
   std::size_t file_bytes() const { return file_bytes_; }
+  /// The validated header, on either path.
   const HeaderV2& header() const { return header_; }
   const std::string& path() const { return path_; }
 
   /// Page-cache residency of the mapped file (everything "resident"
-  /// after the heap fallback — the copy is the residency).
+  /// after a stream read — the copy is the residency).
   ResidencyStats residency() const;
 
  private:
   MappedGraph() = default;
 
-  std::shared_ptr<const Mapping> mapping_;  ///< null after heap fallback
+  std::shared_ptr<const Mapping> mapping_;  ///< null after a stream read
   Csr graph_;
   HeaderV2 header_{};
   std::size_t file_bytes_ = 0;
@@ -74,9 +79,5 @@ class MappedGraph {
 /// GraphRegistry caches, so eviction can never unmap bytes a running
 /// job still reads.
 std::shared_ptr<const Csr> graph_view(std::shared_ptr<const MappedGraph> g);
-
-/// True if `path` exists and starts with the v2 magic (an 8-byte sniff,
-/// not a full validation).
-bool is_gbin_v2_file(const std::string& path);
 
 }  // namespace gcg::store

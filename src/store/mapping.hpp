@@ -34,12 +34,13 @@ struct ResidencyStats {
 
 class Mapping {
  public:
-  /// Maps `path` read-only (PROT_READ, MAP_SHARED). Throws
-  /// std::runtime_error if the file cannot be opened or stat'ed, and
-  /// MappingError when the mmap itself failed — so callers can
-  /// distinguish "no such file" from "mmap unsupported here" and fall
-  /// back to a heap read.
-  static std::shared_ptr<const Mapping> open(const std::string& path);
+  /// Maps the first `size` bytes of the open file `fd` read-only
+  /// (PROT_READ, MAP_SHARED); `path` only names it in messages. The fd
+  /// stays the caller's and may be closed once this returns. Throws
+  /// MappingError when the mmap failed, so the caller can read the same
+  /// fd as a stream instead.
+  static std::shared_ptr<const Mapping> map(int fd, std::size_t size,
+                                            const std::string& path);
 
   ~Mapping();
   Mapping(const Mapping&) = delete;
@@ -62,8 +63,8 @@ class Mapping {
   std::string path_;
 };
 
-/// Thrown when the file exists and is readable but mmap itself failed —
-/// the signal for MappedGraph's graceful heap fallback.
+/// Thrown when mmap itself failed — the signal for MappedGraph's
+/// graceful fallback to a stream read.
 class MappingError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

@@ -1,13 +1,12 @@
 #include "store/writer.hpp"
 
-#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
 #include "graph/io/io.hpp"
-#include "store/mapped_graph.hpp"
+#include "store/format.hpp"
 #include "util/narrow.hpp"
 
 namespace gcg::store {
@@ -20,6 +19,15 @@ std::size_t size_or_zero(const std::string& path) {
   return ec ? 0 : narrow<std::size_t>(size);
 }
 
+/// True if `path` exists and starts with the v2 magic (an 8-byte sniff,
+/// not a full validation).
+bool starts_with_v2_magic(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  char magic[8] = {};
+  in.read(magic, sizeof magic);
+  return in && has_v2_magic(magic, sizeof magic);
+}
+
 }  // namespace
 
 void write_gbin_v2(const std::string& path, const Csr& g) {
@@ -29,7 +37,7 @@ void write_gbin_v2(const std::string& path, const Csr& g) {
     if (!out) {
       throw std::runtime_error("store: cannot open " + tmp + " for writing");
     }
-    save_binary_v2(out, g);
+    save_binary(out, g);
     out.flush();
     if (!out) {
       std::remove(tmp.c_str());
@@ -50,7 +58,7 @@ PackResult pack(const std::string& input, const std::string& output,
   PackResult out;
   out.output = output;
   out.input_bytes = size_or_zero(input);
-  if (reuse_existing && is_gbin_v2_file(output)) {
+  if (reuse_existing && starts_with_v2_magic(output)) {
     out.reused = true;
     out.output_bytes = size_or_zero(output);
     return out;
@@ -62,15 +70,6 @@ PackResult pack(const std::string& input, const std::string& output,
 }
 
 std::string default_pack_target(const std::string& input) {
-  const std::filesystem::path p(input);
-  std::string ext = p.extension().string();
-  // lossy: tolower of an ASCII byte round-trips through int
-  for (char& c : ext) c = narrow_cast<char>(std::tolower(c));
-  if (ext == ".gbin") {
-    std::filesystem::path target = p;
-    target.replace_extension(".v2.gbin");
-    return target.string();
-  }
   return input + ".gbin";
 }
 

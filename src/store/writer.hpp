@@ -30,9 +30,7 @@ struct PackResult {
 PackResult pack(const std::string& input, const std::string& output,
                 bool reuse_existing = false);
 
-/// The conventional pack target for `input`: "<input>.gbin" when the
-/// input is not already a .gbin, "<stem>.v2.gbin" when it is (so a v1
-/// .gbin upgrade does not overwrite its source).
+/// The conventional pack target for `input`: "<input>.gbin".
 std::string default_pack_target(const std::string& input);
 
 }  // namespace gcg::store

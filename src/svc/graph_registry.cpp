@@ -199,12 +199,11 @@ std::shared_ptr<const Csr> GraphRegistry::acquire(const std::string& spec,
         generated = reorder(generated, g.order, g.seed);
       }
       graph = std::make_shared<const Csr>(std::move(generated));
-    } else if (opts_.mmap_store && has_gbin_extension(key) &&
-               store::is_gbin_v2_file(key)) {
+    } else if (has_gbin_extension(key)) {
       // Zero-copy path: the cached shared_ptr aliases the MappedGraph's
       // view, so this entry (and every job holding it) pins the mapping,
-      // never a heap copy. v1 .gbin files miss the magic sniff and take
-      // the heap branch below unchanged.
+      // never a heap copy. Input the kernel cannot map (a FIFO) comes
+      // back as a heap graph and is charged as one.
       auto mg = store::MappedGraph::open(key);
       mapped = mg->is_mapped();
       charge = mg->file_bytes();

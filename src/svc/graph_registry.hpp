@@ -16,12 +16,13 @@
 // validation pages it in, so a full cache is never kept resident
 // alongside the newcomer.
 //
-// Store integration: a path carrying the .gbin v2 magic is opened
-// through store::MappedGraph and served as a zero-copy Csr view off the
-// page cache. Mapped entries are charged their FILE size against their
-// own budget (max_mapped_bytes), not the heap budget — a mapped graph
-// far larger than RAM stays servable because the kernel, not the
-// registry, decides which of its pages are resident.
+// Store integration: a .gbin path is opened through store::MappedGraph
+// and served as a zero-copy Csr view off the page cache; input that
+// cannot be mapped, such as a FIFO, is streamed into a heap entry.
+// Mapped entries are charged their FILE size against their own budget
+// (max_mapped_bytes), not the heap budget — a mapped graph far larger
+// than RAM stays servable because the kernel, not the registry, decides
+// which of its pages are resident.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +49,6 @@ class GraphRegistry {
     /// Deliberately huge by default: mapped bytes are page-cache
     /// backed, so this bounds address space, not RAM. Default 256 GiB.
     std::size_t max_mapped_bytes = std::size_t{1} << 38;
-    /// Serve .gbin v2 files as zero-copy mapped views (false = heap-load
-    /// everything, the pre-store behaviour).
-    bool mmap_store = true;
   };
 
   struct Stats {

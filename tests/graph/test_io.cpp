@@ -8,6 +8,7 @@
 
 #include "graph/gen/powerlaw.hpp"
 #include "graph/gen/special.hpp"
+#include "support/gbin_streams.hpp"
 
 namespace gcg {
 namespace {
@@ -155,13 +156,21 @@ TEST(Binary, RejectsBadMagic) {
 }
 
 TEST(Binary, RejectsTruncation) {
-  const Csr g = make_petersen();
-  std::stringstream buf;
-  save_binary(buf, g);
-  std::string data = buf.str();
+  std::string data = test_support::gbin_bytes(make_petersen());
   data.resize(data.size() / 2);
-  std::istringstream in(data);
-  EXPECT_THROW(load_binary(in), std::runtime_error);
+  std::istringstream seekable(data);
+  test_support::UnseekableBuf buf(data);
+  std::istream unseekable(&buf);
+  for (std::istream* in : {static_cast<std::istream*>(&seekable),
+                           static_cast<std::istream*>(&unseekable)}) {
+    try {
+      (void)load_binary(*in);
+      ADD_FAILURE() << "a half file loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Dispatch, UnknownExtensionThrows) {

@@ -1,7 +1,9 @@
 // .gbin v2 store round-trip and corruption suite: write -> mmap ->
 // validate must be lossless, every corrupted header/section field must
-// fail with a precise error (never garbage data or bad_alloc), and the
-// hardened v1 loader must reject truncated streams before allocating.
+// fail with a precise error (never garbage data or bad_alloc), the
+// stream loader must reject truncated input from seekable and
+// unseekable streams alike before allocating what the header claims,
+// and a FIFO must open through the stream path.
 #include "store/mapped_graph.hpp"
 
 #include <gtest/gtest.h>
@@ -11,13 +13,16 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/gen/suite.hpp"
 #include "graph/io/io.hpp"
 #include "store/format.hpp"
 #include "store/writer.hpp"
+#include "support/gbin_streams.hpp"
 
 namespace gcg {
 namespace {
@@ -79,6 +84,33 @@ std::string load_error(const std::string& path) {
   }
 }
 
+std::string stream_error(std::istream& in) {
+  try {
+    (void)load_binary(in);
+    return "";
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+}
+
+/// load_binary of `bytes` must throw a truncation error both from a
+/// seekable stream and from one that cannot seek (a pipe).
+void expect_truncated(const std::string& bytes) {
+  std::istringstream seekable(bytes);
+  const std::string a = stream_error(seekable);
+  EXPECT_NE(a.find("truncated"), std::string::npos) << "seekable: " << a;
+  test_support::UnseekableBuf buf(bytes);
+  std::istream unseekable(&buf);
+  const std::string b = stream_error(unseekable);
+  EXPECT_NE(b.find("truncated"), std::string::npos) << "unseekable: " << b;
+}
+
+store::HeaderV2 header_of(const std::string& bytes) {
+  store::HeaderV2 h{};
+  std::memcpy(&h, bytes.data(), sizeof h);
+  return h;
+}
+
 // ---------------------------------------------------------------- roundtrip
 
 TEST(StoreGbin2, WriteMapValidateRoundTrips) {
@@ -101,17 +133,6 @@ TEST(StoreGbin2, LoadGraphReadsV2Heap) {
   const Csr g = suite_graph();
   const ScopedFile f(temp_path("store_dispatch.gbin"));
   save_graph(f.path(), g);
-  EXPECT_TRUE(same_graph(g, load_graph(f.path())));
-}
-
-TEST(StoreGbin2, LegacyV1StillLoads) {
-  const Csr g = suite_graph();
-  const ScopedFile f(temp_path("store_v1.gbin"));
-  {
-    std::ofstream out(f.path(), std::ios::binary);
-    save_binary(out, g);
-  }
-  EXPECT_FALSE(store::is_gbin_v2_file(f.path()));
   EXPECT_TRUE(same_graph(g, load_graph(f.path())));
 }
 
@@ -238,33 +259,109 @@ TEST(StoreGbin2, GeometryLiesRejected) {
   EXPECT_THROW((void)store::MappedGraph::open(f.path()), std::runtime_error);
 }
 
-// --------------------------------------------------- hardened v1 loader
-
-TEST(StoreGbin2, V1OversizedCountFailsCleanlyBeforeAllocating) {
-  // A v1 header whose declared element count dwarfs the file must throw
-  // the loader's "truncated stream" error, not attempt the allocation.
-  const ScopedFile f(temp_path("store_v1_oversized.gbin"));
-  {
-    std::ofstream out(f.path(), std::ios::binary);
-    out.write("gcgbin01", 8);
-    const std::uint64_t huge = std::uint64_t{1} << 60;
-    out.write(reinterpret_cast<const char*>(&huge), sizeof huge);
+TEST(StoreGbin2, WrappingGeometryRejected) {
+  // Sizes and offsets that wrap past 2^64 can pass every equality and
+  // ordering check; both loaders must still reject them as bad headers
+  // before any section read.
+  using Edit = void (*)(store::HeaderV2&);
+  const Edit edits[] = {
+      [](store::HeaderV2& h) {  // num_vertices + 1 wraps to 0
+        h.num_vertices = ~std::uint64_t{0};
+        h.rows_bytes = 0;
+      },
+      [](store::HeaderV2& h) {  // num_arcs * sizeof(vid_t) wraps to 0
+        h.num_arcs = std::uint64_t{1} << 62;
+        h.cols_bytes = 0;
+      },
+      [](store::HeaderV2& h) {  // rows_offset + rows_bytes wraps
+        h.rows_offset = ~std::uint64_t{0} - 7;
+      },
+  };
+  const std::string real = test_support::gbin_bytes(suite_graph());
+  const ScopedFile f(temp_path("store_wrap.gbin"));
+  for (std::size_t i = 0; i < std::size(edits); ++i) {
+    SCOPED_TRACE(i);
+    store::HeaderV2 h = header_of(real);
+    edits[i](h);
+    h.header_checksum = store::header_checksum(h);
+    std::vector<char> bytes(real.begin(), real.end());
+    std::memcpy(bytes.data(), &h, sizeof h);
+    write_file(f.path(), bytes);
+    const std::string err = load_error(f.path());
+    EXPECT_NE(err.find("gbin2"), std::string::npos) << err;
+    EXPECT_THROW((void)store::MappedGraph::open(f.path()),
+                 std::runtime_error);
   }
-  const std::string err = load_error(f.path());
-  EXPECT_NE(err.find("truncated"), std::string::npos) << err;
 }
 
-TEST(StoreGbin2, V1TruncatedMidArrayFailsCleanly) {
-  const Csr g = suite_graph();
-  const ScopedFile f(temp_path("store_v1_trunc.gbin"));
-  {
-    std::ofstream out(f.path(), std::ios::binary);
-    save_binary(out, g);
+// ----------------------------------------------------------- stream loads
+
+TEST(StoreGbin2, OversizedSectionFailsCleanlyBeforeAllocating) {
+  // A valid header claiming the largest rows section the geometry
+  // allows (~32 GiB) in front of 4 KiB of rows: both streams must throw
+  // the loader's truncation error, not attempt that allocation.
+  const std::string real = test_support::gbin_bytes(suite_graph());
+  store::HeaderV2 h = header_of(real);
+  h.num_vertices = std::uint64_t{0xFFFFFFFE};
+  h.rows_bytes = (h.num_vertices + 1) * sizeof(eid_t);
+  h.cols_offset = store::align_up(h.rows_offset + h.rows_bytes);
+  h.header_checksum = store::header_checksum(h);
+  std::string bytes = real.substr(0, h.rows_offset + 4096);
+  std::memcpy(bytes.data(), &h, sizeof h);
+  expect_truncated(bytes);
+}
+
+TEST(StoreGbin2, TruncatedMidSectionFailsCleanly) {
+  // Cut inside the header, the padding, the rows and the cols.
+  const std::string bytes = test_support::gbin_bytes(suite_graph());
+  const store::HeaderV2 h = header_of(bytes);
+  for (const std::uint64_t cut :
+       {std::uint64_t{64}, std::uint64_t{sizeof h + 100},
+        h.rows_offset + h.rows_bytes / 2, h.cols_offset + h.cols_bytes / 2}) {
+    SCOPED_TRACE(cut);
+    expect_truncated(bytes.substr(0, cut));
   }
-  std::vector<char> bytes = read_file(f.path());
-  bytes.resize(bytes.size() - bytes.size() / 3);
-  write_file(f.path(), bytes);
-  const std::string err = load_error(f.path());
+}
+
+TEST(StoreFallback, FifoFedOpenStreamsToTheHeap) {
+  // A FIFO cannot be mapped: the open must read it once, as a stream,
+  // and report what it read.
+  const Csr g = suite_graph();
+  const std::string bytes = test_support::gbin_bytes(g);
+  const test_support::GraphPipe pipe("store_fifo.gbin");
+  bool fed = false;
+  std::jthread feeder([&] { fed = pipe.feed(bytes); });
+  const auto mg = store::MappedGraph::open(pipe.path());
+  feeder.join();
+  EXPECT_TRUE(fed);
+
+  EXPECT_FALSE(mg->is_mapped());
+  EXPECT_FALSE(mg->graph().is_view());
+  EXPECT_TRUE(same_graph(g, mg->graph()));
+  EXPECT_EQ(mg->file_bytes(), bytes.size());
+  const store::HeaderV2 written = header_of(bytes);
+  EXPECT_EQ(std::memcmp(&mg->header(), &written, sizeof written), 0);
+
+  const store::ResidencyStats r = mg->residency();
+  const std::size_t page = store::Mapping::page_size();
+  EXPECT_EQ(r.total_pages, (bytes.size() + page - 1) / page);
+  EXPECT_EQ(r.resident_pages, r.total_pages);
+}
+
+TEST(StoreFallback, TruncatedFifoFailsCleanly) {
+  const std::string bytes = test_support::gbin_bytes(suite_graph());
+  const test_support::GraphPipe pipe("store_fifo_trunc.gbin");
+  bool fed = false;
+  std::jthread feeder(
+      [&] { fed = pipe.feed(bytes.substr(0, bytes.size() / 2)); });
+  std::string err;
+  try {
+    (void)store::MappedGraph::open(pipe.path());
+  } catch (const std::runtime_error& e) {
+    err = e.what();
+  }
+  feeder.join();
+  EXPECT_TRUE(fed);
   EXPECT_NE(err.find("truncated"), std::string::npos) << err;
 }
 

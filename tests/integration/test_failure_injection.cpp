@@ -10,6 +10,7 @@
 #include "graph/io/io.hpp"
 #include "graph/reorder.hpp"
 #include "graph/gen/special.hpp"
+#include "support/gbin_streams.hpp"
 #include "util/rng.hpp"
 
 namespace gcg {
@@ -60,25 +61,40 @@ TEST(FailureInjection, TruncatedFilesThrow) {
   const Csr g = make_petersen();
   // Truncate each text format at several byte offsets: loads either throw
   // or (for prefix-valid cuts) produce a structurally valid graph.
-  for (int format = 0; format < 3; ++format) {
+  for (int format = 0; format < 2; ++format) {
     std::stringstream full;
     if (format == 0) {
       save_matrix_market(full, g);
-    } else if (format == 1) {
-      save_dimacs_color(full, g);
     } else {
-      save_binary(full, g);
+      save_dimacs_color(full, g);
     }
     const std::string data = full.str();
     for (std::size_t cut : {data.size() / 4, data.size() / 2}) {
       std::istringstream in(data.substr(0, cut));
       try {
-        Csr back = format == 0   ? load_matrix_market(in)
-                   : format == 1 ? load_dimacs_color(in)
-                                 : load_binary(in);
+        Csr back = format == 0 ? load_matrix_market(in) : load_dimacs_color(in);
         back.validate();  // if it parsed, it must at least be structurally ok
       } catch (const std::runtime_error&) {
         SUCCEED();
+      }
+    }
+  }
+  // A .gbin prefix never parses: every cut is a truncation error, from a
+  // seekable stream and from one that cannot seek alike.
+  const std::string data = test_support::gbin_bytes(g);
+  for (std::size_t cut : {std::size_t{0}, data.size() / 4, data.size() / 2,
+                          data.size() - 1}) {
+    std::istringstream seekable(data.substr(0, cut));
+    test_support::UnseekableBuf buf(data.substr(0, cut));
+    std::istream unseekable(&buf);
+    for (std::istream* in : {static_cast<std::istream*>(&seekable),
+                             static_cast<std::istream*>(&unseekable)}) {
+      try {
+        (void)load_binary(*in);
+        ADD_FAILURE() << "a " << cut << "-byte prefix loaded";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+            << cut << ": " << e.what();
       }
     }
   }

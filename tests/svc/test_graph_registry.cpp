@@ -1,17 +1,12 @@
 #include "svc/graph_registry.hpp"
 
-#include <fcntl.h>
 #include <gtest/gtest.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -19,10 +14,13 @@
 #include "graph/gen/special.hpp"
 #include "graph/io/io.hpp"
 #include "graph/reorder.hpp"
+#include "support/gbin_streams.hpp"
 #include "util/narrow.hpp"
 
 namespace gcg::svc {
 namespace {
+
+using test_support::GraphPipe;
 
 // Small scale keeps generator-backed tests fast.
 constexpr const char* kTiny = "gen:ecology-like?scale=0.02&seed=1";
@@ -227,53 +225,6 @@ TEST(Registry, ClearDropsResidency) {
 /// Three vertices whose arc 0->2 has no mate 2->0.
 Csr asymmetric_graph() { return Csr({0, 2, 4, 5}, {1, 2, 0, 2, 1}); }
 
-/// A named pipe posing as a .gbin file. A load from it blocks until the
-/// test feeds it a graph, which holds that load in flight on demand.
-class GraphPipe {
- public:
-  explicit GraphPipe(const std::string& name)
-      : path_(std::string(::testing::TempDir()) + "/" + name) {
-    std::remove(path_.c_str());
-    if (::mkfifo(path_.c_str(), 0600) != 0) {
-      throw std::runtime_error("mkfifo failed: " + path_);
-    }
-  }
-  ~GraphPipe() { std::remove(path_.c_str()); }
-  GraphPipe(const GraphPipe&) = delete;
-  GraphPipe& operator=(const GraphPipe&) = delete;
-
-  const std::string& path() const { return path_; }
-
-  /// Writes `g` as a v1 .gbin stream (v2 needs a seekable file) to the
-  /// reader blocked on the pipe. False if no reader opens it within 10 s.
-  bool feed(const Csr& g) const {
-    std::ostringstream bytes;
-    save_binary(bytes, g);
-    const std::string data = bytes.str();
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(10);
-    int fd = -1;
-    while ((fd = ::open(path_.c_str(), O_WRONLY | O_NONBLOCK)) < 0) {
-      if (errno != ENXIO || std::chrono::steady_clock::now() > deadline) {
-        return false;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    ::fcntl(fd, F_SETFL, 0);  // blocking writes from here on
-    std::size_t done = 0;
-    while (done < data.size()) {
-      const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
-      if (n <= 0) break;
-      done += to_unsigned(n);
-    }
-    ::close(fd);
-    return done == data.size();
-  }
-
- private:
-  std::string path_;
-};
-
 /// Polls until `done(reg.stats())` holds; false after 10 s.
 template <class Pred>
 bool wait_for_stats(const GraphRegistry& reg, Pred done) {
@@ -286,14 +237,8 @@ bool wait_for_stats(const GraphRegistry& reg, Pred done) {
   return true;
 }
 
-GraphRegistry::Options pipe_options() {
-  GraphRegistry::Options opts;
-  opts.mmap_store = false;  // a pipe can be neither sniffed nor mapped
-  return opts;
-}
-
 TEST(Registry, ConcurrentAcquiresShareOneFailedLoad) {
-  GraphRegistry reg(pipe_options());
+  GraphRegistry reg;
   const GraphPipe pipe("gcg_reg_shared_fail.gbin");
   constexpr std::size_t kThreads = 8;
   // Every waiter rethrows the one exception object the loader stored.
@@ -334,7 +279,7 @@ TEST(Registry, ConcurrentAcquiresShareOneFailedLoad) {
 }
 
 TEST(Registry, LoadMakesRoomOnceTheGraphIsOpenBeforeValidating) {
-  GraphRegistry::Options opts = pipe_options();
+  GraphRegistry::Options opts;
   opts.max_entries = 2;
   GraphRegistry reg(opts);
   const std::string a = "gen:ecology-like?scale=0.02&seed=1";

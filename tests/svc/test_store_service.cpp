@@ -1,18 +1,16 @@
 // Store <-> service integration: the registry must serve .gbin v2 files
-// as zero-copy mapped views charged against the mapped-byte pool, legacy
-// files must keep the heap path, and a job dispatched through the
-// Scheduler onto a packed graph must color a Csr::is_view() graph with
-// no CSR heap copy — the end-to-end acceptance path for the store.
+// as zero-copy mapped views charged against the mapped-byte pool, and a
+// job dispatched through the Scheduler onto a packed graph must color a
+// Csr::is_view() graph with no CSR heap copy — the end-to-end acceptance
+// path for the store.
 #include "svc/graph_registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "graph/gen/suite.hpp"
-#include "graph/io/io.hpp"
 #include "store/writer.hpp"
 #include "svc/scheduler.hpp"
 
@@ -65,33 +63,6 @@ TEST(StoreRegistry, ServesGbin2AsMappedView) {
   // not the heap pool.
   EXPECT_EQ(s.bytes, 0u);
   EXPECT_GT(s.mapped_bytes, 0u);
-}
-
-TEST(StoreRegistry, MmapStoreOffFallsBackToHeap) {
-  const ScopedFile f = packed_graph("reg_nommap.gbin");
-  GraphRegistry::Options opts;
-  opts.mmap_store = false;
-  GraphRegistry reg(opts);
-  const auto g = reg.acquire(f.path());
-  ASSERT_NE(g, nullptr);
-  EXPECT_FALSE(g->is_view());
-
-  const GraphRegistry::Stats s = reg.stats();
-  EXPECT_EQ(s.mapped_entries, 0u);
-  EXPECT_GT(s.bytes, 0u);
-}
-
-TEST(StoreRegistry, LegacyV1TakesHeapPath) {
-  const ScopedFile f(temp_path("reg_v1.gbin"));
-  {
-    std::ofstream out(f.path(), std::ios::binary);
-    save_binary(out, small_graph());
-  }
-  GraphRegistry reg;
-  const auto g = reg.acquire(f.path());
-  ASSERT_NE(g, nullptr);
-  EXPECT_FALSE(g->is_view());
-  EXPECT_EQ(reg.stats().mapped_entries, 0u);
 }
 
 TEST(StoreRegistry, MappedViewSurvivesEviction) {

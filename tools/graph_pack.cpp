@@ -1,10 +1,8 @@
 // Store packer/inspector: convert any loadable graph file into the
-// mmap'able .gbin v2 store format (or back down to legacy v1), and
-// inspect/verify packed files without loading them.
+// mmap'able .gbin v2 store format, and inspect/verify packed files.
 //
 //   graph_pack <input> [output]        pack to .gbin v2
 //       [--force]                      repack even if output is valid v2
-//       [--v1]                         write legacy v1 instead of v2
 //   graph_pack --inspect <file.gbin>   print header/sections/checksums
 //   graph_pack --verify <file.gbin>    recompute + compare checksums
 //
@@ -12,13 +10,11 @@
 // 2 = usage.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "graph/io/io.hpp"
 #include "store/format.hpp"
 #include "store/mapped_graph.hpp"
 #include "store/writer.hpp"
@@ -31,7 +27,7 @@ using namespace gcg;
 int usage() {
   std::cerr
       << "usage: graph_pack <input.{mtx,col,el,gbin}> [output.gbin] "
-         "[--force] [--v1]\n"
+         "[--force]\n"
          "       graph_pack --inspect <file.gbin>\n"
          "       graph_pack --verify <file.gbin>\n";
   return 2;
@@ -56,32 +52,16 @@ store::HeaderV2 read_raw_header(const std::string& path) {
 }
 
 int inspect(const std::string& path) {
-  // Sniff the magic first: a legacy v1 file can be smaller than a v2
-  // header, so don't demand 128 bytes before knowing the generation.
-  char magic[8] = {};
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("cannot open " + path);
-    in.read(magic, sizeof magic);
-    if (!in) throw std::runtime_error(path + ": shorter than a magic tag");
-  }
-  std::cout << "file:            " << path << '\n'
-            << "magic:           " << std::string(magic, magic + sizeof magic)
-            << (store::has_v2_magic(magic, sizeof magic) ? "" : "  (NOT v2)")
-            << '\n';
-  if (!store::has_v2_magic(magic, sizeof magic)) {
-    // Might be v1 — say so instead of dumping garbage fields.
-    if (std::memcmp(magic, "gcgbin01", 8) == 0) {
-      std::cout << "format:          legacy v1 (length-prefixed, "
-                   "not mmap'able; repack with graph_pack)\n";
-      return 0;
-    }
-    std::cerr << "error: not a .gbin file\n";
+  const store::HeaderV2 h = read_raw_header(path);
+  if (!store::has_v2_magic(h.magic, sizeof h.magic)) {
+    std::cerr << "error: " << path << " is not a .gbin v2 file\n";
     return 1;
   }
-  const store::HeaderV2 h = read_raw_header(path);
   const std::uint64_t expect_header = store::header_checksum(h);
-  std::cout << "version:         " << h.version << '\n'
+  std::cout << "file:            " << path << '\n'
+            << "magic:           " << std::string(h.magic, sizeof h.magic)
+            << '\n'
+            << "version:         " << h.version << '\n'
             << "endian tag:      " << hex64(h.endian_tag)
             << (h.endian_tag == store::kEndianTag ? "  (native)"
                                                   : "  (FOREIGN)")
@@ -100,45 +80,13 @@ int inspect(const std::string& path) {
   return h.header_checksum == expect_header ? 0 : 1;
 }
 
+/// Full integrity check: the open validates the header and bounds both
+/// sections by the file size before reading them, then recomputes both
+/// section checksums. Any defect throws with a precise message.
 int verify(const std::string& path) {
-  const store::HeaderV2 h = read_raw_header(path);
-  validate_gbin_v2_header(h);  // throws with a precise message
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  auto section_sum = [&](std::uint64_t offset, std::uint64_t bytes) {
-    in.seekg(static_cast<std::streamoff>(offset));
-    std::vector<char> buf(static_cast<std::size_t>(bytes));
-    in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
-    if (!in) throw std::runtime_error(path + ": truncated section");
-    return store::fnv1a64(buf.data(), buf.size());
-  };
-  const std::uint64_t rows = section_sum(h.rows_offset, h.rows_bytes);
-  const std::uint64_t cols = section_sum(h.cols_offset, h.cols_bytes);
-  bool ok = true;
-  if (rows != h.rows_checksum) {
-    std::cerr << "rows checksum mismatch: stored " << hex64(h.rows_checksum)
-              << ", computed " << hex64(rows) << '\n';
-    ok = false;
-  }
-  if (cols != h.cols_checksum) {
-    std::cerr << "cols checksum mismatch: stored " << hex64(h.cols_checksum)
-              << ", computed " << hex64(cols) << '\n';
-    ok = false;
-  }
-  if (ok) {
-    std::cout << path << ": ok (" << h.num_vertices << " vertices, "
-              << h.num_arcs << " arcs)\n";
-  }
-  return ok ? 0 : 1;
-}
-
-int pack_v1(const std::string& input, const std::string& output) {
-  const Csr g = load_graph(input);
-  std::ofstream out(output, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot write " + output);
-  save_binary(out, g);
-  if (!out) throw std::runtime_error("write failed: " + output);
-  std::cout << "wrote " << output << " (legacy v1)\n";
+  const auto mg = store::MappedGraph::open(path, {.verify_checksums = true});
+  std::cout << path << ": ok (" << mg->header().num_vertices << " vertices, "
+            << mg->header().num_arcs << " arcs)\n";
   return 0;
 }
 
@@ -146,10 +94,9 @@ int pack_v1(const std::string& input, const std::string& output) {
 
 int main(int argc, char** argv) {
   // Every flag here is a boolean mode; declaring them keeps gcg::Cli
-  // from absorbing the positional after `--v1` or `--inspect` as a
+  // from absorbing the positional after `--force` or `--inspect` as a
   // value (the bug that once forced this tool to hand-parse argv).
-  const Cli cli(argc, argv, {"v1", "force", "inspect", "verify"});
-  const bool want_v1 = cli.get_bool("v1");
+  const Cli cli(argc, argv, {"force", "inspect", "verify"});
   const bool force = cli.get_bool("force");
   const bool inspect_mode = cli.get_bool("inspect");
   const bool verify_mode = cli.get_bool("verify");
@@ -167,7 +114,6 @@ int main(int argc, char** argv) {
     const std::string& input = pos[0];
     const std::string output =
         pos.size() > 1 ? pos[1] : store::default_pack_target(input);
-    if (want_v1) return pack_v1(input, output);
 
     const store::PackResult r =
         store::pack(input, output, /*reuse_existing=*/!force);
