@@ -96,7 +96,7 @@ void run_jpl(DriverState& st) {
   const auto wait = std::make_unique_for_overwrite<std::uint32_t[]>(n);
   // Every vertex is pushed exactly once per run, so n pushes can never
   // overflow a deque; the pages past what a worker pushes stay untouched.
-  StealPool<vid_t> ready(workers, n);
+  StealPool ready(workers, n);
   // Each worker allocates its own scratch, so one worker's mask never
   // shares a cache line with another's; the barrier publishes the pointers.
   std::vector<std::unique_ptr<JplScratch>> scratch(workers);

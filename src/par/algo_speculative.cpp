@@ -17,25 +17,10 @@
 // On one thread the chunks run in ascending order and the speculation
 // pass sees every earlier assignment, so no conflicts ever arise and the
 // result is exactly sequential first-fit greedy in visit order.
-#include <algorithm>
-
 #include "par/detail/driver.hpp"
 #include "util/sync.hpp"
 
 namespace gcg::par::detail {
-
-namespace {
-
-/// Edge weight per chunk that cuts n vertices into as many chunks as
-/// kGrain-vertex chunks would make, with boundaries moved so every chunk
-/// carries a comparable number of edges.
-std::uint64_t edge_grain(std::uint64_t arcs, std::uint32_t n) {
-  const std::uint64_t chunks =
-      std::max<std::uint64_t>(1, (n + kGrain - 1) / kGrain);
-  return std::max<std::uint64_t>(1, (arcs + chunks - 1) / chunks);
-}
-
-}  // namespace
 
 void run_speculative(DriverState& st) {
   const vid_t n = st.g.num_vertices();

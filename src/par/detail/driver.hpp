@@ -2,6 +2,7 @@
 // analogue of coloring/detail/driver.hpp. Internal header.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -17,10 +18,19 @@
 namespace gcg::par::detail {
 
 /// Target vertices per scheduler chunk in every barriered vertex-parallel
-/// phase: steal's commit phases, and speculative's two passes per round,
-/// where it sets the chunk count and the edge-balanced split then moves
-/// the boundaries (edge_grain in algo_speculative.cpp).
+/// phase: steal's list passes, and the edge-balanced passes (steal's
+/// count pass, speculative's two passes per round), where it sets the
+/// chunk count and edge_grain then moves the boundaries.
 inline constexpr std::uint32_t kGrain = 512;
+
+/// Edge weight per chunk that cuts n vertices into as many chunks as
+/// kGrain-vertex chunks would make, with boundaries moved so every chunk
+/// carries a comparable number of edges (ThreadPool::parallel_for_edges).
+inline std::uint64_t edge_grain(std::uint64_t arcs, std::uint32_t n) {
+  const std::uint64_t chunks =
+      std::max<std::uint64_t>(1, (n + kGrain - 1) / kGrain);
+  return std::max<std::uint64_t>(1, (arcs + chunks - 1) / chunks);
+}
 
 /// Safety cap on rounds (speculative, steal) and on jpl's longest
 /// priority chain; every algorithm finishes far below it.

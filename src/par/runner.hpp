@@ -28,8 +28,10 @@ enum class ParAlgorithm {
                  ///< neighbours are colored. Equals sequential first-fit
                  ///< in priority order, for a fixed seed, at any thread
                  ///< count.
-  kSteal,        ///< worklist max-min on per-worker Chase–Lev deques with
-                 ///< work stealing — the native mirror of Algorithm::kSteal.
+  kSteal,        ///< worklist max-min: each round commits the local maxima,
+                 ///< then (while dense) the local minima, found by
+                 ///< counters of uncolored neighbours — the native mirror
+                 ///< of Algorithm::kSteal's schedule, with no deques.
 };
 
 const char* par_algorithm_name(ParAlgorithm a);
@@ -70,13 +72,17 @@ struct ParOptions {
 struct ParWorkerStats {
   double busy_ms = 0.0;          ///< time inside vertex-processing loops
                                  ///< (kJpl: excludes idle spinning)
-  std::uint64_t chunks = 0;      ///< deque chunks processed (kSteal; kJpl's
+  std::uint64_t chunks = 0;      ///< kSteal: max- and min-list chunks
+                                 ///< processed, over all rounds (kJpl's
                                  ///< deque items are single vertices, so
                                  ///< it counts them in `vertices` only)
-  std::uint64_t vertices = 0;    ///< frontier vertices scanned (kJpl:
-                                 ///< vertices colored, each exactly once)
+  std::uint64_t vertices = 0;    ///< kSteal: max- and min-list entries
+                                 ///< visited, so every vertex at least
+                                 ///< once (kSpeculative: active vertices
+                                 ///< colored per round; kJpl: vertices
+                                 ///< colored, each exactly once)
   StealStats steal;              ///< this worker's deque pops and steals
-                                 ///< (kSteal, kJpl)
+                                 ///< (kJpl)
 };
 
 struct ParRun {
@@ -100,7 +106,7 @@ struct ParRun {
   /// end-to-end benchmark (bench/e2e) still reports it.
   std::uint64_t hub_vertices = 0;
   std::vector<ParWorkerStats> workers;
-  StealStats steal;              ///< aggregate across workers (kSteal, kJpl)
+  StealStats steal;              ///< aggregate across workers (kJpl)
   /// Busy-time skew across workers (cu_* fields read "per worker", and
   /// the *_cycles fields carry milliseconds for this backend).
   ImbalanceReport imbalance;

@@ -19,13 +19,20 @@ std::size_t size_or_zero(const std::string& path) {
   return ec ? 0 : narrow<std::size_t>(size);
 }
 
-/// True if `path` exists and starts with the v2 magic (an 8-byte sniff,
-/// not a full validation).
-bool starts_with_v2_magic(const std::string& path) {
+/// True if `path` holds a v2 header that validates and is exactly as
+/// long as the sections that header places. A torn or truncated pack
+/// fails this; the section checksums are not read.
+bool is_whole_v2(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  char magic[8] = {};
-  in.read(magic, sizeof magic);
-  return in && has_v2_magic(magic, sizeof magic);
+  HeaderV2 h{};
+  in.read(reinterpret_cast<char*>(&h), sizeof h);
+  if (!in) return false;
+  try {
+    validate_gbin_v2_header(h);
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+  return size_or_zero(path) == h.cols_offset + h.cols_bytes;
 }
 
 }  // namespace
@@ -58,7 +65,7 @@ PackResult pack(const std::string& input, const std::string& output,
   PackResult out;
   out.output = output;
   out.input_bytes = size_or_zero(input);
-  if (reuse_existing && starts_with_v2_magic(output)) {
+  if (reuse_existing && is_whole_v2(output)) {
     out.reused = true;
     out.output_bytes = size_or_zero(output);
     return out;

@@ -24,9 +24,10 @@ struct PackResult {
 };
 
 /// Converts `input` (any extension load_graph accepts) into a .gbin v2
-/// file at `output`. With `reuse_existing`, an `output` that already
-/// carries the v2 magic is kept as-is — the pack-on-first-load fast
-/// path for tools and the registry.
+/// file at `output`. With `reuse_existing`, an `output` whose v2 header
+/// validates and whose size matches the sections it places is kept
+/// as-is — the pack-on-first-load fast path for tools and the registry.
+/// Any other `output` (a torn or truncated pack, say) is rewritten.
 PackResult pack(const std::string& input, const std::string& output,
                 bool reuse_existing = false);
 

@@ -387,6 +387,32 @@ TEST(StoreGbin2, PackConvertsAndReuses) {
   EXPECT_TRUE(same_graph(g, mg->graph()));
 }
 
+TEST(StoreGbin2, PackRewritesATruncatedOutput) {
+  // A torn pack keeps a valid header but not the sections it places; a
+  // reusing pack must rewrite it rather than hand every later open a
+  // truncated file.
+  const Csr g = suite_graph();
+  const ScopedFile mtx(temp_path("store_pack_torn.mtx"));
+  const ScopedFile packed(temp_path("store_pack_torn.mtx.gbin"));
+  save_graph(mtx.path(), g);
+  const store::PackResult first =
+      store::pack(mtx.path(), packed.path(), /*reuse_existing=*/true);
+  ASSERT_FALSE(first.reused);
+
+  std::vector<char> bytes = read_file(packed.path());
+  ASSERT_GT(bytes.size(), 5000u);
+  bytes.resize(5000);
+  write_file(packed.path(), bytes);
+  EXPECT_THROW(store::MappedGraph::open(packed.path()), std::runtime_error);
+
+  const store::PackResult again =
+      store::pack(mtx.path(), packed.path(), /*reuse_existing=*/true);
+  EXPECT_FALSE(again.reused);
+  EXPECT_EQ(again.output_bytes, first.output_bytes);
+  const auto mg = store::MappedGraph::open(packed.path());
+  EXPECT_TRUE(same_graph(g, mg->graph()));
+}
+
 TEST(StoreGbin2, ResidencyCountsEveryPageAfterAFullRead) {
   const Csr g = suite_graph();
   const ScopedFile f(temp_path("store_resident.gbin"));

@@ -5,10 +5,11 @@
 // weaker than the x86 host: a checker that only explores host-observable
 // behaviours would pass the relaxed store-buffer test and be useless.
 //
-// LIT-CNT-1 lives here: the remaining-work counter pattern used by
-// par::StealPool (release decrements + acquire drained() load). The
-// release variant passes and the relaxed variant fails, which is the
-// evidence for downgrading the old acq_rel decrement in steal_pool.cpp.
+// LIT-CNT-1 lives here: the remaining-work counter pattern (release
+// decrements + an acquire load that waits for zero). The release variant
+// passes and the relaxed variant fails. No production code uses the
+// pattern now; it stays as the reference for any counter that an
+// observer polls for zero.
 // So does the dependency-counter hand-off of par's jpl, where the
 // decrement that reaches zero must itself acquire (acq_rel passes,
 // release fails).
@@ -165,13 +166,13 @@ TEST(McLitmus, MessagePassingReleaseAcquirePasses) {
   EXPECT_TRUE(r.complete);
 }
 
-// ------------------------------------------------- LIT-CNT-1: StealPool's
-// remaining-work counter. Two workers publish their bookkeeping (modeled
-// by a relaxed store each) and decrement the counter; an observer that
-// acquire-reads 0 must see both workers' bookkeeping. Release decrements
-// suffice — the acquire load synchronizes with each decrement through the
-// release sequence the RMWs continue — so the pre-PR acq_rel was too
-// strong, and relaxed is too weak. steal_pool.cpp cites this test.
+// ---------------------------------------- LIT-CNT-1: a remaining-work
+// counter. Two workers publish their bookkeeping (modeled by a relaxed
+// store each) and decrement the counter; an observer that acquire-reads 0
+// must see both workers' bookkeeping. Release decrements suffice — the
+// acquire load synchronizes with each decrement through the release
+// sequence the RMWs continue — so acq_rel is too strong, and relaxed is
+// too weak.
 struct DrainCounter : Model {
   std::memory_order dec_mo;
 

@@ -1,11 +1,13 @@
-// Chase–Lev deque and StealPool: sequential semantics plus a concurrent
-// pop/steal stress test asserting every item is delivered exactly once.
+// Chase–Lev deque and StealPool: sequential semantics, victim probing,
+// and concurrent pop/steal stress tests asserting every item is delivered
+// exactly once.
 #include "par/deque.hpp"
 #include "par/steal_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -78,60 +80,64 @@ TEST(WorkStealingDequeTest, ConcurrentPopAndStealDeliverEachItemOnce) {
   }
 }
 
-TEST(StealPoolTest, AcquireDrainsEverythingThroughPopsAndSteals) {
-  StealPool pool(4);
-  const auto chunks = make_chunks(640, 10);
-  pool.fill(deal_blocked(chunks, 4));
-  Xoshiro256ss rng(7);
-  std::vector<int> seen(chunks.size(), 0);
-  // Worker 3 does all the draining: its own block first, then steals.
-  while (!pool.drained()) {
-    if (auto c = pool.acquire(3, rng)) {
-      ++seen[c->begin / 10];
-    }
-  }
-  for (int s : seen) ASSERT_EQ(s, 1);
-  EXPECT_GT(pool.stats().steal_hits, 0u);
-  EXPECT_EQ(pool.stats().pops + pool.stats().chunks_stolen, chunks.size());
+/// A pool of `workers` deques holding items [0, items), dealt in
+/// contiguous blocks.
+StealPool blocked_pool(unsigned workers, std::uint32_t items) {
+  StealPool pool(workers, items);
+  const std::uint32_t block = (items + workers - 1) / workers;
+  for (vid_t v = 0; v < items; ++v) pool.push_own(v / block, v);
+  return pool;
 }
 
 TEST(StealPoolTest, RandomStealingDrains) {
-  StealPool pool(3);
-  pool.fill(deal_round_robin(make_chunks(120, 10), 3));
-  Xoshiro256ss rng(11);
+  // Worker 3 does all the draining: its own block first, then steals.
+  constexpr std::uint32_t kItems = 640;
+  StealPool pool = blocked_pool(4, kItems);
+  Xoshiro256ss rng(7);
+  std::vector<int> seen(kItems, 0);
   std::uint32_t got = 0;
-  while (!pool.drained()) {
-    if (pool.acquire(0, rng)) ++got;
+  for (int misses = 0; got < kItems && misses < 10'000;) {
+    std::optional<vid_t> v = pool.pop_own(3);
+    if (!v) v = pool.steal(3, rng);
+    if (!v) {
+      ++misses;
+      continue;
+    }
+    ++seen[*v];
+    ++got;
   }
-  EXPECT_EQ(got, 12u);
+  EXPECT_EQ(got, kItems);
+  for (int s : seen) ASSERT_EQ(s, 1);
+  EXPECT_GT(pool.stats().steal_hits, 0u);
+  EXPECT_EQ(pool.stats().pops + pool.stats().chunks_stolen, kItems);
+  EXPECT_EQ(pool.worker_stats(3).pops, kItems / 4);
 }
 
 TEST(StealPoolTest, ThiefReachesEveryOtherWorker) {
   // Every other worker is a possible victim and the thief never probes
-  // itself: with one chunk on the victim and one on the thief's own
+  // itself: with one item on the victim and one on the thief's own
   // deque, a steal can only ever return the victim's.
-  const Chunk own{0, 10}, theirs{10, 20};
+  const vid_t own = 10, theirs = 20;
   for (unsigned w : {2u, 3u, 4u}) {
     for (unsigned victim = 1; victim < w; ++victim) {
       StealPool pool(w);
-      std::vector<std::vector<Chunk>> per_worker(w);
-      per_worker[0] = {own};
-      per_worker[victim] = {theirs};
-      pool.fill(per_worker);
+      pool.push_own(0, own);
+      pool.push_own(victim, theirs);
       Xoshiro256ss rng(w * 10 + victim);
-      std::optional<Chunk> got;
+      std::optional<vid_t> got;
       for (int tries = 0; tries < 256 && !got; ++tries) {
         got = pool.steal(0, rng);
       }
       ASSERT_TRUE(got.has_value()) << "w=" << w << " victim=" << victim;
       EXPECT_EQ(*got, theirs) << "w=" << w << " victim=" << victim;
-      EXPECT_FALSE(pool.drained());  // the thief's own chunk is still there
+      // The thief's own item is still there.
+      EXPECT_EQ(pool.pop_own(0), own) << "w=" << w << " victim=" << victim;
     }
   }
 
   // One worker: nobody to steal from, not even its own deque.
   StealPool pool(1);
-  pool.fill({{own}});
+  pool.push_own(0, own);
   Xoshiro256ss rng(1);
   EXPECT_FALSE(pool.steal(0, rng).has_value());
   EXPECT_EQ(pool.stats().steal_attempts, 1u);
@@ -139,19 +145,24 @@ TEST(StealPoolTest, ThiefReachesEveryOtherWorker) {
 }
 
 TEST(StealPoolTest, ConcurrentWorkersDeliverEveryChunkOnce) {
+  // Every pushed item (a "chunk" of one vertex) surfaces exactly once
+  // while all workers pop their own deques and steal from each other.
   constexpr unsigned kWorkers = 4;
-  StealPool pool(kWorkers);
-  const auto chunks = make_chunks(4096, 4);
-  pool.fill(deal_blocked(chunks, kWorkers));
-  std::vector<std::atomic<int>> seen(chunks.size());
+  constexpr std::uint32_t kItems = 1024;
+  StealPool pool = blocked_pool(kWorkers, kItems);
+  std::vector<std::atomic<int>> seen(kItems);
+  std::atomic<std::uint32_t> delivered{0};
 
   std::vector<std::thread> team;
   for (unsigned w = 0; w < kWorkers; ++w) {
     team.emplace_back([&, w] {
       Xoshiro256ss rng(100 + w);
-      while (!pool.drained()) {
-        if (auto c = pool.acquire(w, rng)) {
-          seen[c->begin / 4].fetch_add(1);
+      while (delivered.load(std::memory_order_acquire) < kItems) {
+        std::optional<vid_t> v = pool.pop_own(w);
+        if (!v) v = pool.steal(w, rng);
+        if (v) {
+          seen[*v].fetch_add(1);
+          delivered.fetch_add(1, std::memory_order_acq_rel);
         } else {
           std::this_thread::yield();
         }
@@ -161,24 +172,9 @@ TEST(StealPoolTest, ConcurrentWorkersDeliverEveryChunkOnce) {
   for (auto& t : team) t.join();
 
   for (std::size_t i = 0; i < seen.size(); ++i) {
-    ASSERT_EQ(seen[i].load(), 1) << "chunk " << i;
+    ASSERT_EQ(seen[i].load(), 1) << "item " << i;
   }
-  EXPECT_EQ(pool.stats().pops + pool.stats().chunks_stolen, chunks.size());
-}
-
-TEST(StealPoolTest, StatsAccumulateAcrossFillsUntilReset) {
-  StealPool pool(2);
-  Xoshiro256ss rng(1);
-  pool.fill(deal_blocked(make_chunks(20, 10), 2));
-  while (!pool.drained()) pool.acquire(0, rng);
-  const auto first = pool.stats();
-  pool.fill(deal_blocked(make_chunks(20, 10), 2));
-  while (!pool.drained()) pool.acquire(0, rng);
-  EXPECT_EQ(pool.stats().pops + pool.stats().chunks_stolen,
-            2 * (first.pops + first.chunks_stolen));
-  pool.reset_stats();
-  EXPECT_EQ(pool.stats().pops, 0u);
-  EXPECT_EQ(pool.stats().steal_attempts, 0u);
+  EXPECT_EQ(pool.stats().pops + pool.stats().chunks_stolen, kItems);
 }
 
 }  // namespace

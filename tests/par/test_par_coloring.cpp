@@ -1,5 +1,6 @@
 // End-to-end native backend tests: determinism (fixed seed + 1 thread
-// reproduces the sequential reference; jpl is greedy in priority order),
+// reproduces the sequential reference; jpl is greedy in priority order;
+// steal runs the rounds of a rescanning max-min reference),
 // parity (valid colorings on the full generator suite at several thread
 // counts), cancellation, and stats plumbing.
 #include "par/runner.hpp"
@@ -8,6 +9,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "coloring/priorities.hpp"
 #include "coloring/seq_greedy.hpp"
@@ -15,6 +17,7 @@
 #include "graph/gen/powerlaw.hpp"
 #include "graph/gen/special.hpp"
 #include "graph/gen/suite.hpp"
+#include "graph/reorder.hpp"
 #include "par/pool.hpp"
 
 namespace gcg {
@@ -188,6 +191,116 @@ TEST(ParDeterminismTest, JplAndStealAreThreadCountInvariant) {
   }
 }
 
+/// Sequential reference for steal: the round-rescan max-min schedule.
+/// Each round flags every uncolored vertex that has no uncolored
+/// higher-priority neighbour (max) or no uncolored lower-priority one
+/// (min; a self loop counts as lower), commits the maxima first-fit,
+/// then, while at least half the graph is uncolored, commits each
+/// non-max minimum whose first-fit color is already in the palette.
+/// Priorities and ties come from each vertex's rank in `order`, as in
+/// the par runner.
+struct MaxMinRounds {
+  std::vector<color_t> colors;
+  unsigned rounds = 0;
+};
+
+MaxMinRounds max_min_rounds(const Csr& g, PriorityMode mode,
+                            std::uint64_t seed, Order order) {
+  const vid_t n = g.num_vertices();
+  const std::vector<vid_t> rank =
+      order == Order::kNatural ? std::vector<vid_t>{}
+                               : make_order(g, order, seed);
+  const std::vector<std::uint32_t> prio = make_priorities(g, mode, seed, rank);
+  const auto rank_of = [&](vid_t v) { return rank.empty() ? v : rank[v]; };
+  const auto below = [&](vid_t a, vid_t b) {
+    return priority_less(prio[a], rank_of(a), prio[b], rank_of(b));
+  };
+  MaxMinRounds out;
+  out.colors.assign(n, kUncolored);
+  const auto first_fit = [&](vid_t v) {
+    std::vector<bool> used(g.degree(v) + 1, false);
+    for (vid_t u : g.neighbors(v)) {
+      const color_t c = out.colors[u];
+      if (c != kUncolored && static_cast<std::size_t>(c) < used.size()) {
+        used[static_cast<std::size_t>(c)] = true;
+      }
+    }
+    color_t c = 0;
+    while (used[static_cast<std::size_t>(c)]) ++c;
+    return c;
+  };
+  std::uint64_t uncolored = n;
+  color_t palette = 0;
+  std::vector<bool> is_max(n), is_min(n);
+  while (uncolored > 0) {
+    ++out.rounds;
+    for (vid_t v = 0; v < n; ++v) {
+      if (out.colors[v] != kUncolored) continue;
+      bool mx = true, mn = true;
+      for (vid_t u : g.neighbors(v)) {
+        if (out.colors[u] != kUncolored) continue;
+        (below(v, u) ? mx : mn) = false;
+      }
+      is_max[v] = mx;
+      is_min[v] = mn;
+    }
+    for (vid_t v = 0; v < n; ++v) {
+      if (out.colors[v] != kUncolored || !is_max[v]) continue;
+      out.colors[v] = first_fit(v);
+      palette = std::max(palette, out.colors[v] + 1);
+    }
+    if (uncolored * 2 >= n) {
+      for (vid_t v = 0; v < n; ++v) {
+        if (out.colors[v] != kUncolored || is_max[v] || !is_min[v]) continue;
+        const color_t c = first_fit(v);
+        if (c < palette) out.colors[v] = c;
+      }
+    }
+    uncolored = static_cast<std::uint64_t>(
+        std::count(out.colors.begin(), out.colors.end(), kUncolored));
+  }
+  return out;
+}
+
+TEST(ParDeterminismTest, StealEqualsRoundRescanReference) {
+  // Steal's counters and worklists run exactly the rounds of the
+  // rescanning reference, with the same winners, at every thread count.
+  // Beside the suite: a star (one hub every leaf waits on), a complete
+  // graph (one winner per round) and a hub-heavy Barabási–Albert graph.
+  struct Case {
+    std::string name;
+    Csr graph;
+  };
+  std::vector<Case> cases;
+  for (SuiteEntry& entry : make_suite({.scale = 0.05, .seed = 6})) {
+    cases.push_back({entry.name, std::move(entry.graph)});
+  }
+  cases.push_back({"star", make_star(3000)});
+  cases.push_back({"complete", make_complete(48)});
+  cases.push_back({"barabasi-albert", make_barabasi_albert(4000, 6, 11)});
+  for (const Case& c : cases) {
+    for (PriorityMode mode :
+         {PriorityMode::kRandom, PriorityMode::kDegreeBiased,
+          PriorityMode::kNaturalOrder}) {
+      for (Order order : {Order::kNatural, Order::kDegreeDescending}) {
+        const MaxMinRounds ref = max_min_rounds(c.graph, mode, 5, order);
+        for (unsigned threads : {1u, 2u, 4u}) {
+          par::ParOptions o = opts_with(threads, 5);
+          o.priority = mode;
+          o.order = order;
+          const par::ParRun run =
+              par::run_par_coloring(c.graph, par::ParAlgorithm::kSteal, o);
+          const std::string where = c.name + "/" + priority_mode_name(mode) +
+                                    "/" + order_name(order) + " @" +
+                                    std::to_string(threads);
+          EXPECT_EQ(run.colors, ref.colors) << where;
+          EXPECT_EQ(run.iterations, ref.rounds) << where;
+        }
+      }
+    }
+  }
+}
+
 // --- parity over the generator suite ----------------------------------------
 
 class ParParityTest : public ::testing::TestWithParam<par::ParAlgorithm> {};
@@ -332,6 +445,38 @@ TEST(ParCancelTest, JplStopsWithAPrefixOfTheFullColoring) {
   }
 }
 
+TEST(ParCancelTest, StealStopsAtARoundBoundary) {
+  // Steal polls should_cancel before each round, so a run cancelled on
+  // poll k + 1 has run exactly k rounds. The rounds do not depend on the
+  // schedule, so what it colored is conflict-free and already has the
+  // full run's colors.
+  const Csr g = make_suite_graph("kron-like", {.scale = 0.25, .seed = 1}).graph;
+  const par::ParRun full =
+      par::run_par_coloring(g, par::ParAlgorithm::kSteal, opts_with(4));
+  ASSERT_GT(full.iterations, 3u);
+  for (unsigned k : {1u, 2u, 3u}) {
+    par::ParOptions o = opts_with(4);
+    // Only worker 0, the calling thread, polls; the counter lives in the
+    // closure, so each run starts from zero.
+    o.should_cancel = [k, polls = 0u]() mutable { return ++polls > k; };
+    const par::ParRun run =
+        par::run_par_coloring(g, par::ParAlgorithm::kSteal, o);
+    EXPECT_TRUE(run.cancelled) << "k=" << k;
+    EXPECT_EQ(run.iterations, k);
+    ASSERT_EQ(run.colors.size(), g.num_vertices());
+    EXPECT_NE(std::count(run.colors.begin(), run.colors.end(), kUncolored), 0)
+        << "k=" << k;
+    for (vid_t v = 0; v < g.num_vertices(); ++v) {
+      if (run.colors[v] == kUncolored) continue;
+      ASSERT_EQ(run.colors[v], full.colors[v]) << "k=" << k << " vertex " << v;
+      for (vid_t u : g.neighbors(v)) {
+        ASSERT_NE(run.colors[u], run.colors[v])
+            << "k=" << k << " monochromatic edge " << v << "-" << u;
+      }
+    }
+  }
+}
+
 // --- stats plumbing ----------------------------------------------------------
 
 TEST(ParStatsTest, WorkerStatsAndImbalanceArePopulated) {
@@ -348,14 +493,18 @@ TEST(ParStatsTest, WorkerStatsAndImbalanceArePopulated) {
     chunks += w.chunks;
   }
   EXPECT_GT(chunks, 0u);
-  EXPECT_GE(vertices, g.num_vertices());  // every frontier pass counted
+  EXPECT_GE(vertices, g.num_vertices());  // every vertex leaves a list once
   EXPECT_GE(run.imbalance.cu_max_over_mean, 1.0);
-  // Aggregate steal stats are the sum of the per-worker views.
+
+  // Jpl pops and steals ready vertices from its deques; the aggregate
+  // steal stats are the sum of the per-worker views.
+  const par::ParRun jpl =
+      par::run_par_coloring(pool, g, par::ParAlgorithm::kJpl, opts_with(4));
   StealStats sum;
-  for (const auto& w : run.workers) sum += w.steal;
-  EXPECT_EQ(sum.pops, run.steal.pops);
-  EXPECT_EQ(sum.steal_hits, run.steal.steal_hits);
-  EXPECT_EQ(sum.pops + sum.chunks_stolen > 0, true);
+  for (const auto& w : jpl.workers) sum += w.steal;
+  EXPECT_EQ(sum.pops, jpl.steal.pops);
+  EXPECT_EQ(sum.steal_hits, jpl.steal.steal_hits);
+  EXPECT_GT(sum.pops + sum.chunks_stolen, 0u);
 }
 
 TEST(ParStatsTest, PoolReuseAcrossRunsIsClean) {
