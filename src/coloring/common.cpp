@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <vector>
 
 namespace gcg {
 
@@ -14,14 +15,6 @@ int count_colors(std::span<const color_t> colors) {
     if (c != kUncolored) ++k;
   }
   return k;
-}
-
-std::vector<vid_t> uncolored_vertices(std::span<const color_t> colors) {
-  std::vector<vid_t> out;
-  for (std::size_t v = 0; v < colors.size(); ++v) {
-    if (colors[v] == kUncolored) out.push_back(static_cast<vid_t>(v));
-  }
-  return out;
 }
 
 int compact_colors(std::span<color_t> colors) {

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "graph/csr.hpp"
 
@@ -26,9 +25,6 @@ struct DeviceGraph {
 
 /// Number of distinct colors used (ignores kUncolored entries).
 int count_colors(std::span<const color_t> colors);
-
-/// Indices of vertices still uncolored.
-std::vector<vid_t> uncolored_vertices(std::span<const color_t> colors);
 
 /// Renumber colors densely to 0..k-1 preserving relative order of first
 /// appearance; returns k. Max-min coloring can leave gaps (an iteration

@@ -18,7 +18,6 @@ class GraphBuilder {
 
   void reserve(std::size_t edges) { edges_.reserve(edges); }
   void add_edge(vid_t u, vid_t v);
-  std::size_t pending_edges() const { return edges_.size(); }
   vid_t num_vertices() const { return n_; }
 
   /// Consumes the accumulated edges and builds the CSR: (v,u) is added

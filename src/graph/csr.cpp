@@ -118,35 +118,6 @@ double Csr::avg_degree() const {
   return n_ ? static_cast<double>(num_arcs()) / static_cast<double>(n_) : 0.0;
 }
 
-bool Csr::is_symmetric() const {
-  for (vid_t u = 0; u < n_; ++u) {
-    for (vid_t v : neighbors(u)) {
-      const auto nb = neighbors(v);
-      if (!std::binary_search(nb.begin(), nb.end(), u)) return false;
-    }
-  }
-  return true;
-}
-
-bool Csr::has_no_self_loops() const {
-  for (vid_t u = 0; u < n_; ++u) {
-    for (vid_t v : neighbors(u)) {
-      if (v == u) return false;
-    }
-  }
-  return true;
-}
-
-bool Csr::is_sorted_unique() const {
-  for (vid_t u = 0; u < n_; ++u) {
-    const auto nb = neighbors(u);
-    for (std::size_t i = 1; i < nb.size(); ++i) {
-      if (nb[i] <= nb[i - 1]) return false;
-    }
-  }
-  return true;
-}
-
 void Csr::validate() const {
   if (rows_.empty()) throw std::invalid_argument("csr: empty row offsets");
   if (rows_.front() != 0) throw std::invalid_argument("csr: rows[0] != 0");

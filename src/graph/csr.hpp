@@ -40,8 +40,9 @@ class Csr {
   ///
   /// Cheap by design: performs only O(1) shape checks (size/front/back),
   /// NOT the full O(n+m) validate(), so opening a 100 GiB mapped graph
-  /// does not fault every page in. The store's checksums (or an explicit
-  /// validate() call) are the integrity layer for views.
+  /// does not fault every page in. The integrity layer for views is
+  /// check::validate_csr, which svc::GraphRegistry runs on every load;
+  /// validate() checks only offsets and column range.
   static Csr view(std::span<const eid_t> row_offsets,
                   std::span<const vid_t> col_indices,
                   std::shared_ptr<const void> keepalive);
@@ -82,13 +83,6 @@ class Csr {
 
   vid_t max_degree() const;
   double avg_degree() const;
-
-  /// True if every arc (u,v) has a matching (v,u).
-  bool is_symmetric() const;
-  /// True if no v appears in its own adjacency list.
-  bool has_no_self_loops() const;
-  /// True if each adjacency list is sorted ascending with no duplicates.
-  bool is_sorted_unique() const;
 
   /// Throws std::invalid_argument describing the first structural problem
   /// (bad offsets, out-of-range column, ...). Used by loaders and tests.

@@ -32,45 +32,6 @@ Csr make_erdos_renyi_gnm(vid_t n, eid_t m, std::uint64_t seed) {
   return b.build();
 }
 
-Csr make_erdos_renyi_gnp(vid_t n, double p, std::uint64_t seed) {
-  GCG_EXPECT(n >= 2);
-  GCG_EXPECT(p >= 0.0 && p < 1.0);
-  GraphBuilder b(n);
-  if (p > 0.0) {
-    Xoshiro256ss rng(seed);
-    const double logq = std::log1p(-p);
-    // Walk pairs (u,v), u<v, in lexicographic order with geometric skips.
-    std::uint64_t idx = 0;
-    const std::uint64_t total =
-        std::uint64_t{n} * (n - 1) / 2;
-    while (true) {
-      const double r = rng.uniform();
-      const double skip = std::floor(std::log1p(-r) / logq);
-      // A near-1 draw against a tiny p can yield a skip beyond every
-      // remaining pair (even beyond uint64); that is just "done".
-      if (skip >= static_cast<double>(total)) break;
-      idx += narrow<std::uint64_t>(skip) + 1;
-      if (idx > total) break;
-      // Invert linear index -> (u, v): index within upper triangle.
-      const std::uint64_t k = idx - 1;
-      // Solve largest u with u*(2n-u-1)/2 <= k via float guess + fixup.
-      auto row_start = [n](std::uint64_t u) {
-        return u * (2 * std::uint64_t{n} - u - 1) / 2;
-      };
-      auto u = narrow<std::uint64_t>(
-          static_cast<double>(n) - 0.5 -
-          std::sqrt(std::max(0.0, (static_cast<double>(n) - 0.5) *
-                                        (static_cast<double>(n) - 0.5) -
-                                    2.0 * static_cast<double>(k))));
-      while (u > 0 && row_start(u) > k) --u;
-      while (row_start(u + 1) <= k) ++u;
-      const std::uint64_t v = u + 1 + (k - row_start(u));
-      b.add_edge(narrow<vid_t>(u), narrow<vid_t>(v));
-    }
-  }
-  return b.build();
-}
-
 Csr make_random_geometric(vid_t n, double radius, std::uint64_t seed) {
   GCG_EXPECT(n >= 1);
   GCG_EXPECT(radius > 0.0 && radius <= 1.0);

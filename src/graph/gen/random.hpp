@@ -12,10 +12,6 @@ namespace gcg {
 /// G(n, m): exactly m distinct undirected edges, uniform without replacement.
 Csr make_erdos_renyi_gnm(vid_t n, eid_t m, std::uint64_t seed = 1);
 
-/// G(n, p): each pair independently with probability p (geometric skipping,
-/// O(n + m) expected). Use for small p only.
-Csr make_erdos_renyi_gnp(vid_t n, double p, std::uint64_t seed = 1);
-
 /// Random geometric graph: n points uniform in the unit square, edge iff
 /// distance <= radius. Grid-bucketed; O(n + m) expected.
 Csr make_random_geometric(vid_t n, double radius, std::uint64_t seed = 1);

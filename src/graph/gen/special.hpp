@@ -1,5 +1,6 @@
 // Small structured graphs with known chromatic numbers — the backbone of
 // the correctness test suite (chi(path)=2, chi(C_odd)=3, chi(K_n)=n, ...).
+// lint: allow-next-line(unreached-header) fixtures the graph, coloring and service tests build
 #pragma once
 
 #include "graph/csr.hpp"

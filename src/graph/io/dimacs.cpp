@@ -1,4 +1,5 @@
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -29,8 +30,12 @@ Csr load_dimacs_color(std::istream& in) {
       if (!(ls >> tag >> nn >> mm) || (tag != "edge" && tag != "col")) {
         throw std::runtime_error("dimacs: bad problem line " + std::to_string(lineno));
       }
+      if (nn >= std::numeric_limits<vid_t>::max()) {
+        throw std::runtime_error("dimacs: vertex count exceeds vid_t at line " +
+                                 std::to_string(lineno));
+      }
+      // No reserve(mm): the edge count is untrusted input.
       n = narrow<vid_t>(nn);
-      edges.reserve(mm);
       have_problem = true;
     } else if (kind == 'e') {
       if (!have_problem) throw std::runtime_error("dimacs: edge before problem line");

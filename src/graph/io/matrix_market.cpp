@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cctype>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -52,9 +53,13 @@ Csr load_matrix_market(std::istream& in) {
     throw std::runtime_error("mtx: bad size line");
   }
   if (rows != cols) throw std::runtime_error("mtx: matrix must be square");
+  if (rows >= std::numeric_limits<vid_t>::max()) {
+    throw std::runtime_error("mtx: vertex count exceeds vid_t");
+  }
 
+  // No reserve(nnz): the header is untrusted, and the entries that do
+  // arrive bound the allocation.
   std::vector<std::pair<vid_t, vid_t>> edges;
-  edges.reserve(nnz);
   for (std::uint64_t k = 0; k < nnz; ++k) {
     if (!std::getline(in, line)) throw std::runtime_error("mtx: truncated");
     std::istringstream es(line);

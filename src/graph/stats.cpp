@@ -68,54 +68,6 @@ vid_t connected_components(const Csr& g, std::vector<vid_t>* labels) {
   return components;
 }
 
-std::uint64_t count_triangles(const Csr& g) {
-  const vid_t n = g.num_vertices();
-  // Orient edges from lower-rank to higher-rank endpoint, rank = (degree,
-  // id). Every triangle has exactly one source vertex under this
-  // orientation, and out-degrees are O(sqrt(m)) on any graph.
-  auto rank_less = [&](vid_t a, vid_t b) {
-    return g.degree(a) < g.degree(b) || (g.degree(a) == g.degree(b) && a < b);
-  };
-  std::vector<std::vector<vid_t>> out(n);
-  for (vid_t u = 0; u < n; ++u) {
-    for (vid_t v : g.neighbors(u)) {
-      if (rank_less(u, v)) out[u].push_back(v);  // already sorted by id
-    }
-  }
-  std::uint64_t triangles = 0;
-  for (vid_t u = 0; u < n; ++u) {
-    const auto& a = out[u];
-    for (vid_t v : a) {
-      const auto& b = out[v];
-      // Sorted intersection |out(u) ∩ out(v)|.
-      std::size_t i = 0, j = 0;
-      while (i < a.size() && j < b.size()) {
-        if (a[i] < b[j]) {
-          ++i;
-        } else if (a[i] > b[j]) {
-          ++j;
-        } else {
-          ++triangles;
-          ++i;
-          ++j;
-        }
-      }
-    }
-  }
-  return triangles;
-}
-
-double global_clustering(const Csr& g) {
-  std::uint64_t wedges = 0;
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    const std::uint64_t d = g.degree(v);
-    wedges += d * (d - 1) / 2;
-  }
-  if (wedges == 0) return 0.0;
-  return 3.0 * static_cast<double>(count_triangles(g)) /
-         static_cast<double>(wedges);
-}
-
 std::string describe(const GraphStats& s) {
   std::ostringstream os;
   os << "n=" << s.n << " arcs=" << s.arcs << " davg=" << s.avg_degree

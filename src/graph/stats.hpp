@@ -32,13 +32,6 @@ Histogram degree_histogram(const Csr& g);
 /// Connected components via BFS; returns component id per vertex and count.
 vid_t connected_components(const Csr& g, std::vector<vid_t>* labels = nullptr);
 
-/// Exact triangle count via sorted-adjacency intersection on the degree
-/// orientation (each triangle counted once). O(sum of min-degree work).
-std::uint64_t count_triangles(const Csr& g);
-
-/// Global clustering coefficient: 3*triangles / #wedges (0 when no wedge).
-double global_clustering(const Csr& g);
-
 /// One-line summary, e.g. "n=10000 m=39600 davg=7.9 dmax=12 cv=0.05 cc=1".
 std::string describe(const GraphStats& s);
 

@@ -11,6 +11,7 @@
 // memory accesses between those points run natively and atomically with
 // the operation that follows them — data races on plain memory are
 // TSan's job, not this checker's.
+// lint: allow-next-line(unreached-header) the harness tests/mc drives; test_mc links only gcg_mc
 #pragma once
 
 #include <string>

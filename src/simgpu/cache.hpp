@@ -37,10 +37,6 @@ class CacheSim {
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
-  double hit_rate() const {
-    const auto total = hits_ + misses_;
-    return total ? static_cast<double>(hits_) / static_cast<double>(total) : 0.0;
-  }
   std::uint64_t sets() const { return sets_; }
   unsigned ways() const { return ways_; }
 

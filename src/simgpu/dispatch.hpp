@@ -73,9 +73,6 @@ class Device {
                        const GroupKernel& kernel);
   LaunchResult& launch_waves(std::uint64_t grid_size, unsigned group_size,
                              const WaveKernel& kernel);
-  /// Record cycles produced outside dispatch (persistent-mode launches).
-  void record_external(double cycles) { total_cycles_ += cycles; }
-
   /// Record a pre-built launch (e.g. from to_launch_record) on the
   /// timeline, so metrics aggregation sees persistent-mode work too.
   LaunchResult& record_launch(LaunchResult r) {

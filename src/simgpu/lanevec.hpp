@@ -30,7 +30,6 @@ class Mask {
   constexpr void clear(unsigned i) { bits_ &= ~(std::uint64_t{1} << i); }
 
   constexpr bool any() const { return bits_ != 0; }
-  constexpr bool none_set() const { return bits_ == 0; }
   constexpr unsigned count() const {
     return static_cast<unsigned>(std::popcount(bits_));
   }
@@ -45,7 +44,7 @@ class Mask {
   constexpr Mask& operator|=(Mask o) { bits_ |= o.bits_; return *this; }
   constexpr bool operator==(const Mask&) const = default;
 
-  /// Index of lowest set lane; undefined when none_set().
+  /// Index of lowest set lane; undefined when !any().
   constexpr unsigned first() const {
     return static_cast<unsigned>(std::countr_zero(bits_));
   }
@@ -88,14 +87,6 @@ constexpr Mask where2(const Vec<A>& a, const Vec<B>& b, Mask active, Pred&& pred
   for (unsigned i = 0; i < kMaxLanes; ++i) {
     if (active.test(i) && pred(a[i], b[i])) out.set(i);
   }
-  return out;
-}
-
-/// select(m, a, b): a where m is set, b elsewhere.
-template <class T>
-constexpr Vec<T> select(Mask m, const Vec<T>& a, const Vec<T>& b) {
-  Vec<T> out;
-  for (unsigned i = 0; i < kMaxLanes; ++i) out[i] = m.test(i) ? a[i] : b[i];
   return out;
 }
 

@@ -6,17 +6,6 @@
 
 namespace gcg::simgpu {
 
-double PersistentResult::wave_imbalance() const {
-  if (wave_busy.empty()) return 1.0;
-  double mx = 0.0, sum = 0.0;
-  for (double b : wave_busy) {
-    mx = std::max(mx, b);
-    sum += b;
-  }
-  const double mean = sum / static_cast<double>(wave_busy.size());
-  return mean > 0.0 ? mx / mean : 1.0;
-}
-
 PersistentResult run_persistent(const DeviceConfig& cfg,
                                 const PersistentOptions& opts,
                                 const PersistentStep& step) {

@@ -34,9 +34,6 @@ struct PersistentResult {
   WaveCost total;
   double simd_efficiency = 1.0;
   double mem_latency_cost = 0.0;
-
-  /// max/mean over per-wave busy time.
-  double wave_imbalance() const;
 };
 
 struct PersistentOptions {

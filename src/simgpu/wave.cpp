@@ -11,7 +11,6 @@ Wave::Wave(const DeviceConfig& cfg, std::uint64_t first_global_id,
   for (unsigned i = 0; i < width_; ++i) {
     const std::uint64_t gid = first_id_ + i;
     gids_[i] = static_cast<std::uint32_t>(gid);
-    lids_[i] = i;
     if (gid < grid_size) valid_.set(i);
   }
 }

@@ -27,8 +27,6 @@ class Wave {
   Mask valid() const { return valid_; }
   /// Per-lane global work-item ids.
   const Vec<std::uint32_t>& global_ids() const { return gids_; }
-  /// Per-lane lane indices 0..width-1.
-  const Vec<std::uint32_t>& lane_ids() const { return lids_; }
 
   // --- compute cost -------------------------------------------------------
   /// Issue `instructions` vector ALU instructions under mask `m`.
@@ -82,21 +80,6 @@ class Wave {
   }
 
   // --- atomics (functionally immediate; cost models serialization) --------
-  /// Per-lane fetch-add; returns the pre-add value per lane. Lanes hitting
-  /// the same address serialize (and see each other's updates in lane order).
-  template <class T, class I>
-  Vec<T> atomic_add(std::span<T> mem, const Vec<I>& idx, const Vec<T>& val, Mask m) {
-    charge_atomic(idx, m);
-    Vec<T> out;
-    for (unsigned i = 0; i < width_; ++i) {
-      if (!m.test(i)) continue;
-      T& cell = mem[static_cast<std::size_t>(idx[i])];
-      out[i] = cell;
-      cell = static_cast<T>(cell + val[i]);
-    }
-    return out;
-  }
-
   /// Per-lane atomic AND (bit-clearing flags, e.g. knock-out votes).
   template <class T, class I>
   Vec<T> atomic_and(std::span<T> mem, const Vec<I>& idx, const Vec<T>& val, Mask m) {
@@ -107,20 +90,6 @@ class Wave {
       T& cell = mem[static_cast<std::size_t>(idx[i])];
       out[i] = cell;
       cell = static_cast<T>(cell & val[i]);
-    }
-    return out;
-  }
-
-  /// Per-lane atomic min (used by e.g. priority updates).
-  template <class T, class I>
-  Vec<T> atomic_min(std::span<T> mem, const Vec<I>& idx, const Vec<T>& val, Mask m) {
-    charge_atomic(idx, m);
-    Vec<T> out;
-    for (unsigned i = 0; i < width_; ++i) {
-      if (!m.test(i)) continue;
-      T& cell = mem[static_cast<std::size_t>(idx[i])];
-      out[i] = cell;
-      if (val[i] < cell) cell = val[i];
     }
     return out;
   }
@@ -137,27 +106,6 @@ class Wave {
   }
 
   // --- cross-lane ---------------------------------------------------------
-  /// Max over active lanes; identity when none active.
-  template <class T>
-  T reduce_max(const Vec<T>& v, Mask m, T identity) {
-    valu(m, reduce_cost());
-    T best = identity;
-    for (unsigned i = 0; i < width_; ++i) {
-      if (m.test(i) && v[i] > best) best = v[i];
-    }
-    return best;
-  }
-
-  template <class T>
-  T reduce_sum(const Vec<T>& v, Mask m) {
-    valu(m, reduce_cost());
-    T sum{};
-    for (unsigned i = 0; i < width_; ++i) {
-      if (m.test(i)) sum = static_cast<T>(sum + v[i]);
-    }
-    return sum;
-  }
-
   /// Exclusive prefix sum of ones under mask: out[lane] = #active lanes
   /// before `lane`. The compaction primitive.
   Vec<std::uint32_t> rank_within(Mask m) {
@@ -175,7 +123,6 @@ class Wave {
   // --- accounting ---------------------------------------------------------
   const WaveCost& cost() const { return cost_; }
   WaveCost& mutable_cost() { return cost_; }
-  void reset_cost() { cost_ = WaveCost{}; }
   const DeviceConfig& config() const { return cfg_; }
 
   /// Route this wave's line traffic through an L2 model (owned elsewhere,
@@ -252,7 +199,6 @@ class Wave {
   unsigned width_;
   Mask valid_;
   Vec<std::uint32_t> gids_;
-  Vec<std::uint32_t> lids_;
   WaveCost cost_;
 };
 

@@ -4,45 +4,23 @@
 #include <cmath>
 #include <sstream>
 
-#include "util/expect.hpp"
 #include "util/narrow.hpp"
 
 namespace gcg {
 
-Histogram Histogram::linear(double lo, double hi, std::size_t bins) {
-  GCG_EXPECT(hi > lo);
-  GCG_EXPECT(bins > 0);
-  Histogram h;
-  h.logarithmic_ = false;
-  h.lo_ = lo;
-  h.hi_ = hi;
-  h.cell_ = (hi - lo) / static_cast<double>(bins);
-  h.counts_.assign(bins + 1, 0);  // last bin = overflow
-  return h;
-}
-
 Histogram Histogram::log2(unsigned max_log2) {
   Histogram h;
-  h.logarithmic_ = true;
   h.counts_.assign(std::size_t{max_log2} + 2, 0);  // +overflow
   return h;
 }
 
 std::size_t Histogram::index_of(double x) const {
-  if (logarithmic_) {
-    if (x < 1.0) return 0;
-    // Clamp in the float domain: casting an out-of-range double (inf,
-    // or beyond the last bin) would be UB before min() ever ran.
-    const double lg = std::floor(std::log2(x));
-    if (!(lg < static_cast<double>(counts_.size()))) return counts_.size() - 1;
-    return std::min(narrow<std::size_t>(lg) + 1, counts_.size() - 1);
-  }
-  if (x < lo_) return 0;
-  // Same float-domain clamp; NaN fails the comparison and lands in the
-  // overflow bin.
-  const double cells = (x - lo_) / cell_;
-  if (!(cells < static_cast<double>(counts_.size()))) return counts_.size() - 1;
-  return narrow<std::size_t>(cells);
+  if (x < 1.0) return 0;
+  // Clamp in the float domain: casting an out-of-range double (inf,
+  // or beyond the last bin) would be UB before min() ever ran.
+  const double lg = std::floor(std::log2(x));
+  if (!(lg < static_cast<double>(counts_.size()))) return counts_.size() - 1;
+  return std::min(narrow<std::size_t>(lg) + 1, counts_.size() - 1);
 }
 
 void Histogram::add(double x, std::uint64_t weight) {
@@ -52,21 +30,12 @@ void Histogram::add(double x, std::uint64_t weight) {
 
 std::string Histogram::bin_label(std::size_t bin) const {
   std::ostringstream os;
-  if (logarithmic_) {
-    if (bin == 0) {
-      os << "[0,1)";
-    } else if (bin == counts_.size() - 1) {
-      os << "[" << (1ULL << (bin - 1)) << ",inf)";
-    } else {
-      os << "[" << (1ULL << (bin - 1)) << "," << (1ULL << bin) << ")";
-    }
+  if (bin == 0) {
+    os << "[0,1)";
+  } else if (bin == counts_.size() - 1) {
+    os << "[" << (1ULL << (bin - 1)) << ",inf)";
   } else {
-    const double lo = lo_ + cell_ * static_cast<double>(bin);
-    if (bin == counts_.size() - 1) {
-      os << "[" << hi_ << ",inf)";
-    } else {
-      os << "[" << lo << "," << lo + cell_ << ")";
-    }
+    os << "[" << (1ULL << (bin - 1)) << "," << (1ULL << bin) << ")";
   }
   return os.str();
 }

@@ -1,6 +1,6 @@
-// Histograms for degree distributions and work distributions, with an ASCII
-// renderer for bench output. Two binnings: linear and power-of-two (the
-// natural view for power-law degree distributions).
+// Histograms for degree distributions, with an ASCII renderer for bench
+// output. Power-of-two bins: the natural view for power-law degree
+// distributions.
 #pragma once
 
 #include <cstdint>
@@ -11,8 +11,6 @@ namespace gcg {
 
 class Histogram {
  public:
-  /// Linear bins: [lo, hi) divided into `bins` equal cells, plus overflow.
-  static Histogram linear(double lo, double hi, std::size_t bins);
   /// Power-of-two bins: [0,1), [1,2), [2,4), [4,8), ... up to `max_log2`.
   static Histogram log2(unsigned max_log2);
 
@@ -29,10 +27,6 @@ class Histogram {
 
  private:
   Histogram() = default;
-  bool logarithmic_ = false;
-  double lo_ = 0.0;
-  double hi_ = 0.0;
-  double cell_ = 1.0;
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
   std::size_t index_of(double x) const;

@@ -61,13 +61,5 @@ TEST(CompactColorsTest, PreservesUncoloredSlots) {
   EXPECT_EQ(colors, (std::vector<color_t>{1, kUncolored, 0, kUncolored, 1}));
 }
 
-TEST(UncoloredVerticesTest, EdgeCases) {
-  EXPECT_TRUE(uncolored_vertices({}).empty());
-  const std::vector<color_t> done = {0, 1, 0};
-  EXPECT_TRUE(uncolored_vertices(done).empty());
-  const std::vector<color_t> mixed = {0, kUncolored, 1, kUncolored};
-  EXPECT_EQ(uncolored_vertices(mixed), (std::vector<vid_t>{1, 3}));
-}
-
 }  // namespace
 }  // namespace gcg

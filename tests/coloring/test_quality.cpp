@@ -52,10 +52,5 @@ TEST(CountColors, IgnoresUncolored) {
   EXPECT_EQ(count_colors(std::vector<color_t>{0, 2, 2, kUncolored}), 2);
 }
 
-TEST(UncoloredVertices, ListsExactly) {
-  const std::vector<color_t> colors{0, kUncolored, 1, kUncolored};
-  EXPECT_EQ(uncolored_vertices(colors), (std::vector<vid_t>{1, 3}));
-}
-
 }  // namespace
 }  // namespace gcg

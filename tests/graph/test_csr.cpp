@@ -43,31 +43,6 @@ TEST(Csr, NeighborsAreSortedSpans) {
   EXPECT_EQ(nb[1], 2u);
 }
 
-TEST(Csr, StructureChecks) {
-  const Csr g = triangle();
-  EXPECT_TRUE(g.is_symmetric());
-  EXPECT_TRUE(g.has_no_self_loops());
-  EXPECT_TRUE(g.is_sorted_unique());
-}
-
-TEST(Csr, DetectsAsymmetry) {
-  // Directed arc 0->1 only.
-  const Csr g(std::vector<eid_t>{0, 1, 1}, std::vector<vid_t>{1});
-  EXPECT_FALSE(g.is_symmetric());
-}
-
-TEST(Csr, DetectsSelfLoop) {
-  const Csr g(std::vector<eid_t>{0, 1}, std::vector<vid_t>{0});
-  EXPECT_FALSE(g.has_no_self_loops());
-}
-
-TEST(Csr, DetectsUnsortedAndDuplicate) {
-  const Csr unsorted(std::vector<eid_t>{0, 2, 2, 2}, std::vector<vid_t>{2, 1});
-  EXPECT_FALSE(unsorted.is_sorted_unique());
-  const Csr dup(std::vector<eid_t>{0, 2, 2, 2}, std::vector<vid_t>{1, 1});
-  EXPECT_FALSE(dup.is_sorted_unique());
-}
-
 TEST(Csr, ValidateRejectsBadOffsets) {
   EXPECT_THROW(Csr(std::vector<eid_t>{1, 2}, std::vector<vid_t>{0, 0}),
                std::invalid_argument);

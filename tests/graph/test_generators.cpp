@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
+#include "check/csr.hpp"
 #include "graph/gen/grid.hpp"
 #include "graph/gen/powerlaw.hpp"
 #include "graph/gen/random.hpp"
@@ -15,9 +17,7 @@ namespace gcg {
 namespace {
 
 void expect_clean(const Csr& g) {
-  EXPECT_TRUE(g.is_symmetric());
-  EXPECT_TRUE(g.has_no_self_loops());
-  EXPECT_TRUE(g.is_sorted_unique());
+  EXPECT_EQ(check::validate_csr(g), std::nullopt);
 }
 
 TEST(Grid2d, SizesAndDegrees) {
@@ -76,21 +76,6 @@ TEST(ErdosRenyiGnm, CompleteGraphLimit) {
   const Csr g = make_erdos_renyi_gnm(10, 45, 1);
   EXPECT_EQ(g.num_edges(), 45u);
   EXPECT_EQ(g.max_degree(), 9u);
-}
-
-TEST(ErdosRenyiGnp, EdgeCountNearExpectation) {
-  const vid_t n = 2000;
-  const double p = 0.005;
-  const Csr g = make_erdos_renyi_gnp(n, p, 11);
-  expect_clean(g);
-  const double expected = p * n * (n - 1) / 2.0;
-  EXPECT_GT(g.num_edges(), expected * 0.85);
-  EXPECT_LT(g.num_edges(), expected * 1.15);
-}
-
-TEST(ErdosRenyiGnp, ZeroProbabilityIsEmpty) {
-  const Csr g = make_erdos_renyi_gnp(100, 0.0, 1);
-  EXPECT_EQ(g.num_edges(), 0u);
 }
 
 TEST(RandomGeometric, DegreeMatchesDensity) {

@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
+#include "check/csr.hpp"
 #include "graph/gen/powerlaw.hpp"
 #include "graph/gen/special.hpp"
 #include "support/gbin_streams.hpp"
@@ -86,7 +88,7 @@ TEST(MatrixMarket, AcceptsGeneralReal) {
   const Csr g = load_matrix_market(in);
   EXPECT_EQ(g.num_vertices(), 3u);
   EXPECT_EQ(g.num_edges(), 3u);  // symmetrized triangle
-  EXPECT_TRUE(g.is_symmetric());
+  EXPECT_EQ(check::validate_csr(g), std::nullopt);
 }
 
 TEST(MatrixMarket, AcceptsSymmetricPattern) {
@@ -128,6 +130,21 @@ TEST(MatrixMarket, RejectsOutOfRangeIndex) {
   EXPECT_THROW(load_matrix_market(in), std::runtime_error);
 }
 
+TEST(MatrixMarket, RejectsVertexCountPastVid) {
+  // 2^32 + 2 vertices would narrow to 2, and entry 2^32 + 1 to vertex 0.
+  std::istringstream past(
+      "%%MatrixMarket matrix coordinate pattern general\n"
+      "4294967298 4294967298 1\n"
+      "4294967297 2\n");
+  EXPECT_THROW(load_matrix_market(past), std::runtime_error);
+  // The entry count sizes nothing up front: a lying one is a truncation.
+  std::istringstream lying_nnz(
+      "%%MatrixMarket matrix coordinate pattern general\n"
+      "2 2 1000000000000\n"
+      "1 2\n");
+  EXPECT_THROW(load_matrix_market(lying_nnz), std::runtime_error);
+}
+
 TEST(Dimacs, ParsesStandardInstance) {
   std::istringstream in(
       "c sample\n"
@@ -148,6 +165,14 @@ TEST(Dimacs, RejectsEdgeBeforeProblem) {
 TEST(Dimacs, RejectsVertexZero) {
   std::istringstream in("p edge 2 1\ne 0 1\n");
   EXPECT_THROW(load_dimacs_color(in), std::runtime_error);
+}
+
+TEST(Dimacs, RejectsVertexCountPastVid) {
+  std::istringstream past("p edge 4294967298 1\ne 1 2\n");
+  EXPECT_THROW(load_dimacs_color(past), std::runtime_error);
+  // The edge count sizes nothing up front.
+  std::istringstream lying_m("p edge 2 1000000000000\ne 1 2\n");
+  EXPECT_EQ(load_dimacs_color(lying_m).num_edges(), 1u);
 }
 
 TEST(Binary, RejectsBadMagic) {

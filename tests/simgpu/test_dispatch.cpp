@@ -159,10 +159,6 @@ TEST_F(DispatchTest, DeviceAccumulatesTimeline) {
   EXPECT_DOUBLE_EQ(dev.total_cycles(), dev.history()[0].kernel_cycles +
                                            dev.history()[1].kernel_cycles);
   EXPECT_GT(dev.total_ms(), 0.0);
-  dev.record_external(500.0);
-  EXPECT_DOUBLE_EQ(dev.total_cycles(), dev.history()[0].kernel_cycles +
-                                           dev.history()[1].kernel_cycles +
-                                           500.0);
   dev.reset();
   EXPECT_EQ(dev.launch_count(), 0u);
   EXPECT_DOUBLE_EQ(dev.total_cycles(), 0.0);

@@ -77,15 +77,5 @@ TEST(Where2, ComparesTwoVectors) {
   EXPECT_EQ(lt.bits(), 0b0011u);
 }
 
-TEST(Select, BlendsByMask) {
-  const auto a = Vec<int>::splat(1);
-  const auto b = Vec<int>::splat(2);
-  const auto out = select(Mask(0b101), a, b);
-  EXPECT_EQ(out[0], 1);
-  EXPECT_EQ(out[1], 2);
-  EXPECT_EQ(out[2], 1);
-  EXPECT_EQ(out[3], 2);
-}
-
 }  // namespace
 }  // namespace gcg::simgpu

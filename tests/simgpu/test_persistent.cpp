@@ -69,30 +69,6 @@ TEST_F(PersistentTest, MakespanIsMaxClockPlusOverhead) {
   EXPECT_DOUBLE_EQ(r.makespan_cycles, max_clock + cfg.kernel_launch_cycles);
 }
 
-TEST_F(PersistentTest, WaveImbalanceDetectsSkew) {
-  // Busy time only accumulates on kWorked steps, so do the work first and
-  // retire on the following (free) step.
-  std::vector<int> steps(16, 0);
-  const auto skewed = run_persistent(cfg, opts, [&](unsigned id, Wave& w) {
-    if (steps[id]++ == 0) {
-      w.valu(Mask::full(8), id == 0 ? 100.0 : 1.0);
-      return StepStatus::kWorked;
-    }
-    return StepStatus::kDone;
-  });
-  EXPECT_GT(skewed.wave_imbalance(), 5.0);
-
-  std::fill(steps.begin(), steps.end(), 0);
-  const auto flat = run_persistent(cfg, opts, [&](unsigned id, Wave& w) {
-    if (steps[id]++ == 0) {
-      w.valu(Mask::full(8), 10.0);
-      return StepStatus::kWorked;
-    }
-    return StepStatus::kDone;
-  });
-  EXPECT_NEAR(flat.wave_imbalance(), 1.0, 1e-9);
-}
-
 TEST_F(PersistentTest, WorkerLaneIdsAreDistinct) {
   std::vector<std::uint32_t> first_ids;
   run_persistent(cfg, opts, [&](unsigned, Wave& w) {

@@ -109,8 +109,8 @@ TEST_F(WaveTest, UniformAccessesCostOneTransaction) {
   EXPECT_EQ(w.cost().mem_instructions, 2u);
 }
 
-TEST_F(WaveTest, AtomicAddReturnsOldAndSerializesConflicts) {
-  std::vector<std::uint32_t> mem(8, 0);
+TEST_F(WaveTest, AtomicAndReturnsOldAndSerializesConflicts) {
+  std::vector<std::uint32_t> mem(8, 0xffu);
   Wave w = make_wave();
   // 4 lanes on address 0, 2 lanes on address 1.
   Vec<std::uint32_t> idx;
@@ -123,30 +123,19 @@ TEST_F(WaveTest, AtomicAddReturnsOldAndSerializesConflicts) {
   idx[5] = 1;
   m.set(4);
   m.set(5);
-  const auto old = w.atomic_add(std::span<std::uint32_t>(mem), idx,
-                                Vec<std::uint32_t>::splat(1), m);
-  EXPECT_EQ(mem[0], 4u);
-  EXPECT_EQ(mem[1], 2u);
-  // Lane order semantics: olds on address 0 are 0,1,2,3.
-  EXPECT_EQ(old[0], 0u);
-  EXPECT_EQ(old[3], 3u);
-  EXPECT_EQ(old[5], 1u);
+  // Lane i clears bit i.
+  Vec<std::uint32_t> val;
+  for (unsigned i = 0; i < 6; ++i) val[i] = ~(1u << i);
+  const auto old = w.atomic_and(std::span<std::uint32_t>(mem), idx, val, m);
+  EXPECT_EQ(mem[0], 0xf0u);
+  EXPECT_EQ(mem[1], 0xcfu);
+  // Lane order semantics: each lane sees the clears of the lanes before it.
+  EXPECT_EQ(old[0], 0xffu);
+  EXPECT_EQ(old[3], 0xf8u);
+  EXPECT_EQ(old[5], 0xefu);
   EXPECT_EQ(w.cost().atomic_instructions, 1u);
   // Extra serializations: (4-1) + (2-1) = 4.
   EXPECT_EQ(w.cost().atomic_extra_serializations, 4u);
-}
-
-TEST_F(WaveTest, AtomicMinKeepsMinimum) {
-  std::vector<int> mem(2, 100);
-  Wave w = make_wave();
-  Vec<std::uint32_t> idx = Vec<std::uint32_t>::splat(0);
-  Vec<int> val;
-  val[0] = 50;
-  val[1] = 70;
-  val[2] = 30;
-  Mask m(0b111);
-  w.atomic_min(std::span<int>(mem), idx, val, m);
-  EXPECT_EQ(mem[0], 30);
 }
 
 TEST_F(WaveTest, AtomicAddUniform) {
@@ -155,16 +144,6 @@ TEST_F(WaveTest, AtomicAddUniform) {
   EXPECT_EQ(w.atomic_add_uniform(std::span<std::uint32_t>(counter), 0, 5u), 10u);
   EXPECT_EQ(counter[0], 15u);
   EXPECT_EQ(w.cost().atomic_instructions, 1u);
-}
-
-TEST_F(WaveTest, Reductions) {
-  Wave w = make_wave();
-  Vec<int> v;
-  for (unsigned i = 0; i < 64; ++i) v[i] = static_cast<int>(i);
-  EXPECT_EQ(w.reduce_max(v, Mask::full(64), -1), 63);
-  EXPECT_EQ(w.reduce_max(v, Mask(0b111), -1), 2);
-  EXPECT_EQ(w.reduce_max(v, Mask::none(), -1), -1);
-  EXPECT_EQ(w.reduce_sum(v, Mask(0b110)), 3);
 }
 
 TEST_F(WaveTest, RankWithinCompacts) {

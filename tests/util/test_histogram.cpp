@@ -5,27 +5,6 @@
 namespace gcg {
 namespace {
 
-TEST(Histogram, LinearBinningPlacesValues) {
-  auto h = Histogram::linear(0.0, 10.0, 5);
-  h.add(0.0);   // [0,2)
-  h.add(1.99);  // [0,2)
-  h.add(2.0);   // [2,4)
-  h.add(9.99);  // [8,10)
-  h.add(10.0);  // overflow
-  h.add(100.0); // overflow
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.count(5), 2u);
-  EXPECT_EQ(h.total(), 6u);
-}
-
-TEST(Histogram, LinearUnderflowClampsToFirstBin) {
-  auto h = Histogram::linear(10.0, 20.0, 2);
-  h.add(-5.0);
-  EXPECT_EQ(h.count(0), 1u);
-}
-
 TEST(Histogram, Log2Binning) {
   auto h = Histogram::log2(4);  // bins [0,1) [1,2) [2,4) [4,8) [8,16) [16,inf)
   h.add(0.0);

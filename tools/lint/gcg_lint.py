@@ -45,6 +45,11 @@ Rules (see docs/CORRECTNESS.md for the rationale):
                   a later line of the same statement (multi-line call
                   sites: the comment may sit on the closing line).
   include-cycle   the quoted-include graph of src/ must be acyclic.
+  unreached-header every header under src/ must be included by some file
+                  in src/, examples/, tools/ or bench/ other than its own
+                  .cpp — a module only tests reach is deleted, or its
+                  `#pragma once` line says why it stays. The rule reads
+                  those four directories whatever PATHS are linted.
   naked-new       no `new` expressions outside smart-pointer factories.
   naked-delete    no `delete` expressions (`= delete` declarations are fine).
   rand            no `rand()` / `srand()` — use util/rng.hpp generators.
@@ -108,9 +113,11 @@ SIMD_RULE = "raw-simd"
 MUTEX_RULE = "raw-mutex"
 NARROW_RULE = "raw-narrow"
 LOSSY_RULE = "lossy-comment"
+REACH_RULE = "unreached-header"
 ALL_RULES = sorted(list(TOKEN_RULES) +
                    [ORDER_RULE, CYCLE_RULE, SEAM_RULE, MMAP_RULE, PROC_RULE,
-                    SIMD_RULE, MUTEX_RULE, NARROW_RULE, LOSSY_RULE])
+                    SIMD_RULE, MUTEX_RULE, NARROW_RULE, LOSSY_RULE,
+                    REACH_RULE])
 
 # sync-seam: matches std::atomic, std::atomic_flag, std::atomic_thread_fence
 # but NOT std::atomic_ref / std::atomic_signal_fence (outside the seam) —
@@ -204,6 +211,14 @@ LOSSY_MESSAGE = ("narrow_cast without a `// lossy:` justification — say why "
 ORDER_TOKEN = re.compile(r"\bmemory_order_\w+")
 ORDER_COMMENT = re.compile(r"//\s*order:")
 ORDER_REACH = 10  # max lines an // order: comment covers downward
+
+# unreached-header: the directories whose includes count as a caller.
+# tests/ is not one of them — a module only its tests reach has no user.
+REACH_DIRS = ("src", "examples", "tools", "bench")
+REACH_MESSAGE = ("header included by nothing in src/, examples/, tools/ or "
+                 "bench/ but its own .cpp — delete the module, or allow it "
+                 "on this line with the reason it stays")
+PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 
 SUPPRESS_RE = re.compile(
     r"//\s*lint:\s*(allow|allow-next-line)\(([\w\-, ]+)\)\s*(.*)")
@@ -426,6 +441,50 @@ def find_include_cycles(files_by_rel):
     return cycles
 
 
+def includers_by_key(root):
+    """{quoted include path: set of root-relative files including it},
+    over every source file under REACH_DIRS. Reads only."""
+    out = {}
+    for d in REACH_DIRS:
+        for dirpath, _, names in os.walk(os.path.join(root, d)):
+            for name in names:
+                if not name.endswith(EXTENSIONS):
+                    continue
+                full = os.path.join(dirpath, name)
+                try:
+                    text = open(full, encoding="utf-8").read()
+                except OSError:
+                    continue
+                for line in text.split("\n"):
+                    m = INCLUDE_RE.match(line)
+                    if m:
+                        out.setdefault(m.group(1), set()).add(
+                            os.path.relpath(full, root))
+    return out
+
+
+def find_unreached_headers(root, files, texts):
+    """files: {path: include key}; texts: {include key: source text}.
+    Reports each linted header under src/ that nothing outside its own
+    .cpp includes, on its `#pragma once` line (line 1 without one)."""
+    includers = includers_by_key(root)
+    findings = []
+    for full, key in sorted(files.items()):
+        rel = os.path.relpath(full, root)
+        if not rel.startswith("src" + os.sep) or not rel.endswith(".hpp"):
+            continue
+        own_cpp = rel[:-len(".hpp")] + ".cpp"
+        if includers.get(key, set()) - {own_cpp} or key not in texts:
+            continue
+        raw_lines = texts[key].split("\n")
+        line = next((i for i, l in enumerate(raw_lines, start=1)
+                     if PRAGMA_ONCE_RE.match(l)), 1)
+        allowed, _ = suppressions(raw_lines)
+        if REACH_RULE not in allowed.get(line, set()):
+            findings.append(Finding(full, line, REACH_RULE, REACH_MESSAGE))
+    return findings
+
+
 def include_key(full, root):
     """The path a quoted #include would use for this file: the project
     adds <root>/src to the include path, so files under src/ are keyed
@@ -476,6 +535,7 @@ def run_lint(root, paths):
         findings.append(Finding(
             cycle[0], 0, CYCLE_RULE,
             "include cycle: " + " -> ".join(cycle)))
+    findings.extend(find_unreached_headers(root, files, texts))
     return findings
 
 
@@ -903,6 +963,30 @@ def self_test():
         if [f.rule for f in findings] != [CYCLE_RULE]:
             failures.append(f"end-to-end cycle: expected one {CYCLE_RULE}, "
                             f"got {[str(f) for f in findings]}")
+
+    # unreached-header over a temp tree: an orphan (included only by its
+    # own .cpp and a test) fires on its `#pragma once` line; a header an
+    # example includes and an allowed orphan are clean.
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = {
+            "src/m/orphan.hpp": "// doc\n#pragma once\nint orphan();\n",
+            "src/m/orphan.cpp": '#include "m/orphan.hpp"\n',
+            "tests/test_orphan.cpp": '#include "m/orphan.hpp"\n',
+            "src/m/used.hpp": "#pragma once\nint used();\n",
+            "examples/demo.cpp": '#include "m/used.hpp"\n',
+            "src/m/fixture.hpp":
+                "#pragma once  // lint: allow(unreached-header) test fixture\n",
+        }
+        for rel, text in tree.items():
+            full = os.path.join(tmp, rel)
+            os.makedirs(os.path.dirname(full), exist_ok=True)
+            with open(full, "w") as f:
+                f.write(text)
+        got = [(os.path.relpath(f.path, tmp), f.line, f.rule)
+               for f in run_lint(tmp, [os.path.join(tmp, "src")])]
+        want = [(os.path.join("src", "m", "orphan.hpp"), 2, REACH_RULE)]
+        if got != want:
+            failures.append(f"unreached-header: expected {want}, got {got}")
 
     if failures:
         print("gcg_lint self-test FAILED:", file=sys.stderr)
